@@ -136,36 +136,6 @@ pub trait ConcurrencyControl: Send {
     fn fastpath_accepted(&self) -> u64 {
         0
     }
-
-    /// Whether this CC runs pipelined (seal/join) block formation: `cut_block` is replaced
-    /// by a [`ConcurrencyControl::begin_cut`] that seals the pending set onto a formation
-    /// worker and a [`ConcurrencyControl::finish_cut`] that claims the formed block, with
-    /// arrivals continuing in between. Only FabricSharp with
-    /// `CcConfig::pipelined_formation` reports `true`.
-    fn pipelined_formation(&self) -> bool {
-        false
-    }
-
-    /// Seals the pending set and starts forming the next block on the formation stage;
-    /// returns the number of sealed transactions (0 = nothing pending, nothing sealed).
-    /// Only meaningful when [`ConcurrencyControl::pipelined_formation`]; the default seals
-    /// nothing.
-    fn begin_cut(&mut self) -> usize {
-        0
-    }
-
-    /// Joins the formation started by [`ConcurrencyControl::begin_cut`]: blocks until the
-    /// block is formed and returns its transactions (commit order, `end_ts` assigned) plus
-    /// the formation wall-clock measured on the worker, in microseconds.
-    fn finish_cut(&mut self) -> (Vec<Transaction>, u64) {
-        (Vec::new(), 0)
-    }
-
-    /// Pipelined-formation stall counters: (forced joins, cumulative wall-clock the driver
-    /// spent waiting on them). Zero for phased systems.
-    fn formation_stalls(&self) -> (u64, Duration) {
-        (0, Duration::ZERO)
-    }
 }
 
 #[cfg(test)]

@@ -69,24 +69,6 @@ impl SimpleChain {
         )
     }
 
-    /// Creates a sharded chain whose per-shard graph formation and arrival work fans out
-    /// across `formation_threads` worker threads (`0` = inline). Ledger outcomes are
-    /// bit-identical for every thread count.
-    pub fn with_sharded_formation(
-        kind: SystemKind,
-        store_shards: usize,
-        formation_threads: usize,
-    ) -> Self {
-        Self::with_cc_config(
-            kind,
-            CcConfig {
-                store_shards,
-                formation_threads,
-                ..CcConfig::default()
-            },
-        )
-    }
-
     /// Creates a chain with the template fast path toggled (`store_shards` selects the
     /// engine as in [`SimpleChain::with_store_shards`]). With the knob on, transactions
     /// tagged [`eov_common::txn::TemplateClass::Safe`] bypass the dependency graph; ledger
@@ -97,21 +79,6 @@ impl SimpleChain {
             CcConfig {
                 store_shards,
                 template_fastpath: enabled,
-                ..CcConfig::default()
-            },
-        )
-    }
-
-    /// Creates a chain with pipelined block formation toggled (`store_shards` selects the
-    /// engine as in [`SimpleChain::with_store_shards`]). The synchronous facade has no work
-    /// to overlap with formation, so `seal_block` seals and immediately joins the formation
-    /// worker; ledger outcomes stay bit-identical to the knob-off reference.
-    pub fn with_pipelined_formation(kind: SystemKind, store_shards: usize, enabled: bool) -> Self {
-        Self::with_cc_config(
-            kind,
-            CcConfig {
-                store_shards,
-                pipelined_formation: enabled,
                 ..CcConfig::default()
             },
         )

@@ -40,16 +40,6 @@ pub struct ParallelChain {
     committed_history: Vec<Transaction>,
     early_aborted: Vec<(TxnId, AbortReason)>,
     snapshots: SnapshotManager,
-    /// A block sealed by [`ParallelChain::begin_seal`] and not yet committed by
-    /// [`ParallelChain::finish_seal`].
-    sealing: Option<SealInFlight>,
-}
-
-/// State of a split seal: either the phased cut already produced the ordered block, or the
-/// pipelined formation worker still owns it and `finish_cut` will claim it.
-enum SealInFlight {
-    Phased(Vec<Transaction>),
-    Pipelined,
 }
 
 impl ParallelChain {
@@ -72,49 +62,6 @@ impl ParallelChain {
             kind,
             CcConfig {
                 store_shards,
-                ..CcConfig::default()
-            },
-            endorser_shards,
-        )
-    }
-
-    /// Creates a chain that stacks all three concurrency knobs: `endorser_shards` endorsement
-    /// workers, `store_shards` key-space store/graph shards, and `formation_threads` graph
-    /// workers fanning out the per-shard formation and arrival work. Ledger outcomes are
-    /// bit-identical for every combination.
-    pub fn with_sharded_formation(
-        kind: SystemKind,
-        endorser_shards: usize,
-        store_shards: usize,
-        formation_threads: usize,
-    ) -> Self {
-        Self::with_cc_config(
-            kind,
-            CcConfig {
-                store_shards,
-                formation_threads,
-                ..CcConfig::default()
-            },
-            endorser_shards,
-        )
-    }
-
-    /// Creates a chain with pipelined block formation toggled, on top of `endorser_shards`
-    /// endorsement workers and `store_shards` key-space shards. With the knob on,
-    /// [`ParallelChain::begin_seal`] hands the pending set to the formation worker and
-    /// returns immediately, so endorsement and submission of the next generation of
-    /// transactions overlap block formation.
-    pub fn with_pipelined_formation(
-        kind: SystemKind,
-        endorser_shards: usize,
-        store_shards: usize,
-        enabled: bool,
-    ) -> Self {
-        Self::with_cc_config(
-            kind,
-            CcConfig {
-                store_shards,
-                pipelined_formation: enabled,
                 ..CcConfig::default()
             },
             endorser_shards,
@@ -165,7 +112,6 @@ impl ParallelChain {
             committed_history: Vec::new(),
             early_aborted: Vec::new(),
             snapshots,
-            sealing: None,
         }
     }
 
@@ -237,49 +183,10 @@ impl ParallelChain {
     /// (which validates if the system requires it and applies the committed writes under the
     /// store's write lock), and appends the block to the hash-chained ledger.
     pub fn seal_block(&mut self) -> BlockReport {
-        self.begin_seal();
-        self.finish_seal()
-    }
-
-    /// First half of a split seal: snapshots the pending set into a block. With pipelined
-    /// formation on, the heavy reordering work is handed to the background formation worker
-    /// and this returns immediately — endorsement and submission of the next generation of
-    /// transactions then proceed against the last *committed* store state (formation has not
-    /// committed anything yet), and arrivals that conflict with the in-formation block are
-    /// transparently held until [`ParallelChain::finish_seal`] joins the worker. The resulting
-    /// commit order is therefore intentionally not compared against a seal-then-submit
-    /// schedule; the serializability oracle and reproducibility tests guard it instead.
-    /// Returns the number of transactions sealed (`0` = nothing pending, no seal in flight).
-    pub fn begin_seal(&mut self) -> usize {
-        assert!(
-            self.sealing.is_none(),
-            "begin_seal called while a sealed block is still awaiting finish_seal"
-        );
-        if self.cc.pipelined_formation() {
-            let sealed = self.cc.begin_cut();
-            if sealed > 0 {
-                self.sealing = Some(SealInFlight::Pipelined);
-            }
-            sealed
-        } else {
-            let ordered = self.cc.cut_block();
-            let sealed = ordered.len();
-            if sealed > 0 {
-                self.sealing = Some(SealInFlight::Phased(ordered));
-            }
-            sealed
+        let ordered = self.cc.cut_block();
+        if ordered.is_empty() {
+            return BlockReport::default();
         }
-    }
-
-    /// Second half of a split seal: joins the formation worker if necessary, then validates,
-    /// commits and appends the block exactly as [`ParallelChain::seal_block`] would. A no-op
-    /// returning an empty report when [`ParallelChain::begin_seal`] sealed nothing.
-    pub fn finish_seal(&mut self) -> BlockReport {
-        let ordered = match self.sealing.take() {
-            None => return BlockReport::default(),
-            Some(SealInFlight::Phased(ordered)) => ordered,
-            Some(SealInFlight::Pipelined) => self.cc.finish_cut().0,
-        };
         let block_no = self.ledger.height() + 1;
         let needs_validation = self.cc.needs_peer_validation();
         let job_txns = Arc::new(ordered.clone());
@@ -398,117 +305,10 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_seal_matches_the_phased_ledger_without_window_submissions() {
-        // Driven through the blocking `seal_block` (begin + finish back to back, nothing
-        // submitted during the window) the pipelined chain must produce the exact phased
-        // ledger, across both store engines.
-        for store_shards in [0usize, 2] {
-            let mut chains: Vec<ParallelChain> = [false, true]
-                .into_iter()
-                .map(|pipelined| {
-                    let mut chain = ParallelChain::with_pipelined_formation(
-                        SystemKind::FabricSharp,
-                        2,
-                        store_shards,
-                        pipelined,
-                    );
-                    chain.seed((0..6).map(|i| (k(&format!("acct{i}")), Value::from_i64(100))));
-                    chain
-                })
-                .collect();
-            for round in 0..5u64 {
-                for chain in &mut chains {
-                    let batch: Vec<EndorseLogic> = (0..4usize)
-                        .map(|i| {
-                            transfer_logic(
-                                k(&format!("acct{i}")),
-                                k(&format!("acct{}", (i + round as usize + 1) % 6)),
-                                1,
-                            )
-                        })
-                        .collect();
-                    chain.submit_batch(batch);
-                    chain.seal_block();
-                }
-            }
-            let phased = &chains[0];
-            let pipelined = &chains[1];
-            assert_eq!(
-                phased.ledger().tip_hash(),
-                pipelined.ledger().tip_hash(),
-                "S={store_shards}: pipelined seal_block must reproduce the phased ledger"
-            );
-            assert_eq!(phased.ledger().height(), pipelined.ledger().height());
-        }
-    }
-
-    fn overlapped_run(store_shards: usize) -> ParallelChain {
-        let mut chain =
-            ParallelChain::with_pipelined_formation(SystemKind::FabricSharp, 2, store_shards, true);
-        chain.seed((0..6).map(|i| (k(&format!("acct{i}")), Value::from_i64(100))));
-        for round in 0..5u64 {
-            let batch: Vec<EndorseLogic> = (0..4usize)
-                .map(|i| {
-                    transfer_logic(
-                        k(&format!("acct{i}")),
-                        k(&format!("acct{}", (i + round as usize + 1) % 6)),
-                        1,
-                    )
-                })
-                .collect();
-            chain.submit_batch(batch);
-            let sealed = chain.begin_seal();
-            assert!(sealed > 0, "round {round} sealed nothing");
-            // Endorse and submit the *next* generation while the sealed block is still in
-            // formation — endorsement reads the last committed store state.
-            let next: Vec<EndorseLogic> = (0..2usize)
-                .map(|i| {
-                    transfer_logic(
-                        k(&format!("acct{}", 5 - i)),
-                        k(&format!("acct{}", round as usize % 4)),
-                        1,
-                    )
-                })
-                .collect();
-            chain.submit_batch(next);
-            let report = chain.finish_seal();
-            assert!(report.block_number.is_some(), "round {round}");
-        }
-        chain.seal_block();
-        chain
-    }
-
-    #[test]
-    fn overlapped_seal_stays_serializable_and_reproducible() {
-        for store_shards in [0usize, 2] {
-            let first = overlapped_run(store_shards);
-            assert!(
-                is_serializable(first.committed_history()),
-                "S={store_shards}"
-            );
-            assert!(
-                first.ledger().verify_integrity().is_ok(),
-                "S={store_shards}"
-            );
-            assert!(first.ledger().committed_txn_count() > 0, "S={store_shards}");
-
-            // The overlapped schedule itself must be deterministic run to run.
-            let second = overlapped_run(store_shards);
-            assert_eq!(
-                first.ledger().tip_hash(),
-                second.ledger().tip_hash(),
-                "S={store_shards}: overlapped seal must be reproducible"
-            );
-        }
-    }
-
-    #[test]
-    fn begin_seal_with_nothing_pending_leaves_no_seal_in_flight() {
-        let mut chain =
-            ParallelChain::with_pipelined_formation(SystemKind::FabricSharp, 1, 0, true);
+    fn seal_with_nothing_pending_appends_no_block() {
+        let mut chain = ParallelChain::new(SystemKind::FabricSharp, 1);
         chain.seed([(k("alice"), Value::from_i64(100))]);
-        assert_eq!(chain.begin_seal(), 0);
-        let report = chain.finish_seal();
+        let report = chain.seal_block();
         assert_eq!(report.block_number, None);
         assert_eq!(chain.ledger().height(), 0);
     }

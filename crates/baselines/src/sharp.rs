@@ -67,26 +67,6 @@ impl ConcurrencyControl for FabricSharpCC {
     fn fastpath_accepted(&self) -> u64 {
         self.stats().fastpath_accepted
     }
-
-    fn pipelined_formation(&self) -> bool {
-        self.config().pipelined_formation
-    }
-
-    fn begin_cut(&mut self) -> usize {
-        FabricSharpCC::begin_cut(self)
-    }
-
-    fn finish_cut(&mut self) -> (Vec<Transaction>, u64) {
-        let formed = FabricSharpCC::finish_cut(self);
-        (formed.txns, formed.formation_us)
-    }
-
-    fn formation_stalls(&self) -> (u64, Duration) {
-        (
-            self.stats().forced_formation_joins,
-            self.stats().formation_join_wait,
-        )
-    }
 }
 
 #[cfg(test)]

@@ -8,14 +8,13 @@
 //! Re-times the `graph_commit_path` operations, the `reachability_engine` group
 //! (`topo_sort_pending` / `would_close_cycle`, dense engine vs the retained naive reference)
 //! and the whole-orderer arrival + formation path — including the ww-restoration-heavy input
-//! (unsharded, sharded, and parallel-formation `S=4/W=2` variants), the sharded
-//! (`store_shards = 2`) vs unsharded engines, and the worker-pool coordinator
-//! (`S=4/W=2` cross-shard YCSB) — with a median-of-runs harness, then compares each median
-//! against `BENCH_BASELINE.json` at the repository root. A benchmark fails the gate when it lands outside the tolerance band
-//! (±20% by default; `FABRICSHARP_GATE_TOLERANCE=0.35` widens it to ±35%). A baseline ↔
-//! results mismatch is fatal in **both** directions: a measured benchmark missing from the
-//! baseline and a baseline entry no benchmark produces each fail the gate — a stale baseline
-//! is a silent hole, not a note. The structural checks are machine-independent and always
+//! (unsharded and sharded `S=4` variants) and the sharded (`store_shards = 2`) vs unsharded
+//! engines — with a median-of-runs harness, then compares each median against
+//! `BENCH_BASELINE.json` at the repository root. A benchmark fails the gate when it lands
+//! outside the tolerance band (±20% by default; `FABRICSHARP_GATE_TOLERANCE=0.35` widens it
+//! to ±35%). A baseline ↔ results mismatch is fatal in **both** directions: a measured
+//! benchmark missing from the baseline and a baseline entry no benchmark produces each fail
+//! the gate — a stale baseline is a silent hole, not a note. The structural checks are machine-independent and always
 //! enforced:
 //!
 //! * `topo_sort_pending` on the dense engine must be ≥ 5× faster than the naive reference at
@@ -27,14 +26,8 @@
 //!   the fastpath-off reference, commit the identical id order, and bypass **exactly** the
 //!   number of transactions the conflict analyzer predicted (runtime `fastpath_accepted` ==
 //!   static safe-tag count, ±0), and
-//! * the inline, sharded and parallel-formation paths must commit the **identical** id order
-//!   on the ww-heavy and cross-shard inputs (the determinism hard check),
-//! * the pipelined formation driver must commit the **identical** per-block id order as the
-//!   phased reference on the generation-chunked overlap input, and a fixed-seed end-to-end
-//!   simulation must produce the identical ledger tip hash with the knob on and off; — **only
-//!   when the runner has ≥ 2 cores** — the pipelined chunked run must not be slower than the
-//!   phased one (on a single-core runner the check is reported as SKIP: the overlap has no
-//!   second core to land on),
+//! * the unsharded and sharded paths must commit the **identical** id order on the ww-heavy
+//!   and cross-shard inputs (the determinism hard check),
 //! * the commit scheduler's wave decomposition must be reproducible and have the statically
 //!   known shape (one maximal wave on the disjoint block, ~40-wide waves on the hot block),
 //!   the `E = 4` wave commit must leave the store byte-identical to the `E = 0` serial
@@ -53,7 +46,6 @@
 //! and `FABRICSHARP_GATE_TOLERANCE` widens the band if a runner generation proves noisier
 //! than ±20%.
 
-use eov_baselines::api::SystemKind;
 use eov_common::config::{CcConfig, WorkloadParams};
 use eov_common::rwset::{Key, Value};
 use eov_common::txn::TxnStatus;
@@ -62,7 +54,6 @@ use eov_common::version::SeqNo;
 use eov_depgraph::{DependencyGraph, NaiveGraph, PendingTxnSpec};
 use eov_ledger::durable::{DurableLedger, DurableOptions};
 use eov_ledger::{write_checkpoint, Block, Ledger};
-use eov_sim::{SimulationConfig, Simulator};
 use eov_vstore::{
     into_shared_backend, MultiVersionStore, SnapshotManager, StateStore, StoreBackend,
 };
@@ -174,12 +165,11 @@ fn ww_heavy_txns() -> Vec<Transaction> {
 
 /// Runs the full FabricSharp orderer path — every arrival plus one block cut — and returns
 /// the committed count (keeps the optimiser honest).
-fn arrival_and_cut(txns: &[Transaction], store_shards: usize, formation_threads: usize) -> u64 {
+fn arrival_and_cut(txns: &[Transaction], store_shards: usize) -> u64 {
     arrival_and_cut_cfg(
         txns,
         CcConfig {
             store_shards,
-            formation_threads,
             ..CcConfig::default()
         },
     )
@@ -196,17 +186,12 @@ fn arrival_and_cut_cfg(txns: &[Transaction], config: CcConfig) -> u64 {
 }
 
 /// Like [`arrival_and_cut`] but returns the committed transaction ids in block order — the
-/// artefact the structural inline-vs-parallel identity check compares exactly.
-fn arrival_and_cut_ids(
-    txns: &[Transaction],
-    store_shards: usize,
-    formation_threads: usize,
-) -> Vec<u64> {
+/// artefact the structural unsharded-vs-sharded identity check compares exactly.
+fn arrival_and_cut_ids(txns: &[Transaction], store_shards: usize) -> Vec<u64> {
     arrival_and_cut_ids_cfg(
         txns,
         CcConfig {
             store_shards,
-            formation_threads,
             ..CcConfig::default()
         },
     )
@@ -228,8 +213,7 @@ const PIPE_CHUNK_TXNS: usize = 400;
 
 /// `PIPE_CHUNKS` generations of `PIPE_CHUNK_TXNS` transactions with disjoint per-generation
 /// key ranges: blind ww writes over 25 hot keys per generation keep the formation step (ww
-/// restoration) expensive, while the disjoint footprints keep every next-generation arrival
-/// eagerly admissible during the formation window — the input the overlap is designed for.
+/// restoration) expensive.
 fn pipeline_chunk_txns() -> Vec<Vec<Transaction>> {
     (0..PIPE_CHUNKS)
         .map(|c| {
@@ -265,31 +249,6 @@ fn chunked_phased_ids(chunks: &[Vec<Transaction>]) -> Vec<Vec<u64>> {
     blocks
 }
 
-/// The pipelined driver over the same input: each generation's arrivals stream in while the
-/// previous generation's block is forming on the worker thread (at most one block in
-/// formation — the driver joins before sealing the next, exactly the sim's back-pressure).
-fn chunked_pipelined_ids(chunks: &[Vec<Transaction>]) -> Vec<Vec<u64>> {
-    let mut cc = FabricSharpCC::new(CcConfig {
-        pipelined_formation: true,
-        ..CcConfig::default()
-    });
-    let mut blocks = Vec::with_capacity(chunks.len());
-    let mut inflight = false;
-    for chunk in chunks {
-        for txn in chunk {
-            let _ = cc.on_arrival(txn.clone());
-        }
-        if inflight {
-            blocks.push(cc.finish_cut().txns.iter().map(|t| t.id.0).collect());
-        }
-        inflight = cc.begin_cut() > 0;
-    }
-    if inflight {
-        blocks.push(cc.finish_cut().txns.iter().map(|t| t.id.0).collect());
-    }
-    blocks
-}
-
 /// Shared inputs for the gated benchmarks, built once so individual benchmarks can be
 /// re-measured (the band comparison retries a failing benchmark to filter transient
 /// machine-load spikes).
@@ -310,8 +269,8 @@ struct BenchContext {
     /// tags the ~75% rescued arrivals `Safe`.
     ycsb_b200: Vec<Transaction>,
     ww_heavy: Vec<Transaction>,
-    /// Generation-chunked, footprint-disjoint input for the pipelined-formation overlap
-    /// benches (see [`pipeline_chunk_txns`]).
+    /// Generation-chunked, footprint-disjoint input for the chunked formation bench (see
+    /// [`pipeline_chunk_txns`]).
     pipeline_chunks: Vec<Vec<Transaction>>,
     /// 2048 conflict-free read-modify-write transactions (one maximal wave): the
     /// embarrassingly parallel upper bound for the wave-commit scheduler.
@@ -478,13 +437,11 @@ impl BenchContext {
             "commit_wave_hot2048_e4",
             "formation_ww_restore_400",
             "formation_ww_restore_400_s4",
-            "formation_ww_restore_400_s4_w2",
             "ledger_append_seg_200",
             "mark_committed_all_1600",
             "recover_cold_1600",
             "remove_half_1600",
             "sharp_pipeline_chunks1600_phased",
-            "sharp_pipeline_chunks1600_pipelined",
             "sharp_smallbank200_sharded_s2",
             "sharp_smallbank200_unsharded",
             "sharp_ycsb_b_fastpath_off_200",
@@ -492,7 +449,6 @@ impl BenchContext {
             "sharp_ycsb_c_fastpath_off_200",
             "sharp_ycsb_c_fastpath_on_200",
             "sharp_ycsb_cross200_sharded_s2",
-            "sharp_ycsb_cross200_sharded_s4_w2",
             "sharp_ycsb_cross200_unsharded",
             "topo_sort_pending_512",
             "topo_sort_pending_naive_512",
@@ -586,35 +542,21 @@ impl BenchContext {
             "commit_wave_hot2048_e4" => {
                 self.measure_commit(&StoreBackend::for_shards(4), &self.commit_hot, 4)
             }
-            "formation_ww_restore_400" => median_ns(|| arrival_and_cut(&self.ww_heavy, 0, 0)),
-            "formation_ww_restore_400_s4" => median_ns(|| arrival_and_cut(&self.ww_heavy, 4, 0)),
-            "formation_ww_restore_400_s4_w2" => median_ns(|| arrival_and_cut(&self.ww_heavy, 4, 2)),
+            "formation_ww_restore_400" => median_ns(|| arrival_and_cut(&self.ww_heavy, 0)),
+            "formation_ww_restore_400_s4" => median_ns(|| arrival_and_cut(&self.ww_heavy, 4)),
             "sharp_pipeline_chunks1600_phased" => median_ns(|| {
                 chunked_phased_ids(&self.pipeline_chunks)
                     .iter()
                     .map(|b| b.len() as u64)
                     .sum()
             }),
-            "sharp_pipeline_chunks1600_pipelined" => median_ns(|| {
-                chunked_pipelined_ids(&self.pipeline_chunks)
-                    .iter()
-                    .map(|b| b.len() as u64)
-                    .sum()
-            }),
-            "sharp_smallbank200_unsharded" => {
-                median_ns(|| arrival_and_cut(&self.smallbank200, 0, 0))
-            }
-            "sharp_smallbank200_sharded_s2" => {
-                median_ns(|| arrival_and_cut(&self.smallbank200, 2, 0))
-            }
+            "sharp_smallbank200_unsharded" => median_ns(|| arrival_and_cut(&self.smallbank200, 0)),
+            "sharp_smallbank200_sharded_s2" => median_ns(|| arrival_and_cut(&self.smallbank200, 2)),
             "sharp_ycsb_cross200_unsharded" => {
-                median_ns(|| arrival_and_cut(&self.ycsb_cross200, 0, 0))
+                median_ns(|| arrival_and_cut(&self.ycsb_cross200, 0))
             }
             "sharp_ycsb_cross200_sharded_s2" => {
-                median_ns(|| arrival_and_cut(&self.ycsb_cross200, 2, 0))
-            }
-            "sharp_ycsb_cross200_sharded_s4_w2" => {
-                median_ns(|| arrival_and_cut(&self.ycsb_cross200, 4, 2))
+                median_ns(|| arrival_and_cut(&self.ycsb_cross200, 2))
             }
             "sharp_ycsb_b_fastpath_off_200" => {
                 median_ns(|| arrival_and_cut_cfg(&self.ycsb_b200, CcConfig::default()))
@@ -733,26 +675,22 @@ fn main() {
         );
         failures += 1;
     }
-    // Structural determinism check, machine-independent and always enforced: the parallel
-    // formation path (S shards × W workers) must produce the *identical* committed id order
-    // as the inline sharded path and the unsharded reference, on both the ww-restoration-heavy
-    // input (per-shard decomposed restore) and the cross-shard YCSB input (coordinator path).
+    // Structural determinism check, machine-independent and always enforced: the sharded
+    // path must produce the *identical* committed id order as the unsharded reference, on
+    // both the ww-restoration-heavy input and the cross-shard YCSB input (coordinator path).
     for (input_name, txns) in [
         ("ww_heavy_400", &ctx.ww_heavy),
         ("ycsb_cross200", &ctx.ycsb_cross200),
     ] {
-        let reference = arrival_and_cut_ids(txns, 0, 0);
-        let inline_s4 = arrival_and_cut_ids(txns, 4, 0);
-        let parallel_s4_w2 = arrival_and_cut_ids(txns, 4, 2);
-        if reference == inline_s4 && reference == parallel_s4_w2 {
+        let reference = arrival_and_cut_ids(txns, 0);
+        let sharded_s4 = arrival_and_cut_ids(txns, 4);
+        if reference == sharded_s4 {
             println!(
-                "  OK   {input_name}: inline/sharded/parallel commit orders identical ({} txns)",
+                "  OK   {input_name}: unsharded/sharded commit orders identical ({} txns)",
                 reference.len()
             );
         } else {
-            println!(
-                "  FAIL {input_name}: commit orders diverged between inline and parallel formation"
-            );
+            println!("  FAIL {input_name}: commit orders diverged between unsharded and sharded");
             failures += 1;
         }
     }
@@ -831,83 +769,6 @@ fn main() {
     } else {
         println!(
             "  SKIP wave commit scaling: single-core runner ({cores} core) — nothing to parallelise"
-        );
-    }
-    // Pipelined formation, structural identity checks — machine-independent, always enforced.
-    // (1) The pipelined driver must commit the identical per-block id order as the phased
-    // reference on the generation-chunked overlap input (arrivals streaming into open
-    // formation windows).
-    {
-        let phased = chunked_phased_ids(&ctx.pipeline_chunks);
-        let pipelined = chunked_pipelined_ids(&ctx.pipeline_chunks);
-        if phased == pipelined {
-            println!(
-                "  OK   pipeline_chunks1600: phased/pipelined per-block commit orders identical ({} blocks)",
-                phased.len()
-            );
-        } else {
-            println!(
-                "  FAIL pipeline_chunks1600: commit orders diverged between phased and pipelined formation"
-            );
-            failures += 1;
-        }
-    }
-    // (2) Fixed-seed end-to-end ledger identity: the same simulation with the knob on and off
-    // must produce the identical ledger tip hash.
-    {
-        let mut cfg = SimulationConfig::new(
-            SystemKind::FabricSharp,
-            WorkloadKind::Ycsb(YcsbProfile::b().with_write_partition(0.2)),
-        );
-        cfg.duration_s = 1.0;
-        cfg.params.num_accounts = 300;
-        cfg.params.request_rate_tps = 300;
-        cfg.block.max_txns_per_block = 30;
-        cfg.seed = 11;
-        let (phased_report, phased_ledger) = Simulator::run_with_ledger(&cfg);
-        cfg.pipelined_formation = true;
-        let (pipelined_report, pipelined_ledger) = Simulator::run_with_ledger(&cfg);
-        if phased_ledger.tip_hash() == pipelined_ledger.tip_hash()
-            && phased_report.blocks == pipelined_report.blocks
-            && phased_report.blocks > 0
-        {
-            println!(
-                "  OK   pipelined formation: fixed-seed end-to-end ledger identical to phased ({} blocks)",
-                phased_report.blocks
-            );
-        } else {
-            println!(
-                "  FAIL pipelined formation: fixed-seed end-to-end ledger diverged from phased"
-            );
-            failures += 1;
-        }
-    }
-    // (3) The overlap claim itself — only meaningful when there is a second core for the
-    // formation worker to run on.
-    if cores >= 2 {
-        let phased = results["sharp_pipeline_chunks1600_phased"];
-        let mut pipelined = results["sharp_pipeline_chunks1600_pipelined"];
-        if pipelined >= phased {
-            // One retry to filter a transient load spike, as for the band comparisons.
-            pipelined = ctx
-                .measure("sharp_pipeline_chunks1600_pipelined")
-                .min(pipelined);
-        }
-        if pipelined < phased {
-            println!(
-                "  OK   pipelined formation throughput: {:.2}x over phased on the chunked input ({cores} cores)",
-                phased / pipelined
-            );
-        } else {
-            println!(
-                "  FAIL pipelined formation throughput: not faster than phased on the chunked input ({:.0} ns >= {:.0} ns, {cores} cores)",
-                pipelined, phased
-            );
-            failures += 1;
-        }
-    } else {
-        println!(
-            "  SKIP pipelined formation throughput: single-core runner ({cores} core) — the overlap has no second core to land on"
         );
     }
     // Template fast path: on all-safe (read-only YCSB-C) traffic the bypass must deliver a
@@ -1012,11 +873,6 @@ fn main() {
         "  INFO sharded s2 / unsharded arrival+cut: smallbank {:.2}x, ycsb-cross {:.2}x",
         results["sharp_smallbank200_sharded_s2"] / results["sharp_smallbank200_unsharded"],
         results["sharp_ycsb_cross200_sharded_s2"] / results["sharp_ycsb_cross200_unsharded"],
-    );
-    println!(
-        "  INFO parallel formation (S=4): ww-restore W2/W0 {:.2}x, ycsb-cross W2/unsharded {:.2}x",
-        results["formation_ww_restore_400_s4_w2"] / results["formation_ww_restore_400_s4"],
-        results["sharp_ycsb_cross200_sharded_s4_w2"] / results["sharp_ycsb_cross200_unsharded"],
     );
     println!();
 

@@ -12,9 +12,8 @@
 //!    40 keys — narrow waves, the coordination-bound lower bound). Medians of wall-clock
 //!    nanoseconds plus the speedup over the `E = 0` serial reference of the same `S`.
 //! 2. **End-to-end** — the simulator's measured per-block validate/commit wall-clock and wave
-//!    statistics for FabricSharp on write-partitioned YCSB-B at `E × W` (formation threads
-//!    compose with execution threads; the ledger is bit-identical at every point — see
-//!    `tests/scheduler_determinism.rs`).
+//!    statistics for FabricSharp on write-partitioned YCSB-B at every `E` (the ledger is
+//!    bit-identical at every point — see `tests/scheduler_determinism.rs`).
 
 use eov_baselines::api::SystemKind;
 use eov_bench::banner;
@@ -136,7 +135,7 @@ fn micro_sweep(
 fn main() {
     banner(
         "commit_sweep",
-        "parallel wave-commit scaling: E (execution threads) x S (store shards) x W (formation threads)",
+        "parallel wave-commit scaling: E (execution threads) x S (store shards)",
     );
     println!(
         "detected parallelism on this machine: {}\n",
@@ -156,35 +155,31 @@ fn main() {
         &hot,
     );
 
-    // End-to-end: the simulator's measured commit wall-clock and wave shape at E x W.
+    // End-to-end: the simulator's measured commit wall-clock and wave shape at every E.
     println!("end-to-end simulator sweep: FabricSharp, write-partitioned YCSB-B, S=4");
     println!(
-        "{:<6}{:>6}{:>10}{:>12}{:>12}{:>10}{:>12}{:>10}",
-        "W", "E", "eff tps", "commit p50", "commit p99", "waves/b", "mean width", "widened"
+        "{:<6}{:>10}{:>12}{:>12}{:>10}{:>12}{:>10}",
+        "E", "eff tps", "commit p50", "commit p99", "waves/b", "mean width", "widened"
     );
-    for formation in [0usize, 2] {
-        for execution in [0usize, 2, 4] {
-            let mut config = SimulationConfig::new(
-                SystemKind::FabricSharp,
-                WorkloadKind::Ycsb(YcsbProfile::b().with_write_partition(0.2)),
-            );
-            config.duration_s = 3.0;
-            config.store_shards = 4;
-            config.formation_threads = formation;
-            config.execution_threads = execution;
-            let report = Simulator::run(&config);
-            println!(
-                "{:<6}{:>6}{:>10.0}{:>10.0}µs{:>10.0}µs{:>10.2}{:>12.1}{:>10}",
-                formation,
-                execution,
-                report.effective_tps(),
-                report.commit.p50_us,
-                report.commit.p99_us,
-                report.wave.waves_per_block(),
-                report.wave.mean_wave_width(),
-                report.wave.widened,
-            );
-        }
+    for execution in [0usize, 2, 4] {
+        let mut config = SimulationConfig::parallel_commit(
+            SystemKind::FabricSharp,
+            WorkloadKind::Ycsb(YcsbProfile::b().with_write_partition(0.2)),
+            4,
+            execution,
+        );
+        config.duration_s = 3.0;
+        let report = Simulator::run(&config);
+        println!(
+            "{:<6}{:>10.0}{:>10.0}µs{:>10.0}µs{:>10.2}{:>12.1}{:>10}",
+            execution,
+            report.effective_tps(),
+            report.commit.p50_us,
+            report.commit.p99_us,
+            report.wave.waves_per_block(),
+            report.wave.mean_wave_width(),
+            report.wave.widened,
+        );
     }
     println!(
         "\nThe disjoint micro block is the scaling upper bound (one wave, perfectly parallel\n\

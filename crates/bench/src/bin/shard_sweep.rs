@@ -9,10 +9,7 @@
 //! (wall-clock) per-transaction arrival cost and per-block formation latency. Every row of a
 //! workload commits the identical ledger (the `sharding_determinism` guarantee), so the
 //! numbers isolate exactly what the sharded engine and its cross-shard coordinator cost — or
-//! save — on a single thread. A second sweep holds S = 4 and varies the formation worker
-//! threads `W` (`CcConfig::formation_threads`), printing the parallel-vs-inline formation
-//! medians; ledgers stay bit-identical at every W (the `parallel_formation_determinism`
-//! guarantee). This binary produces the BASELINES.md sharding and parallel-formation tables.
+//! save — on a single thread. This binary produces the BASELINES.md sharding table.
 
 use eov_baselines::api::SystemKind;
 use eov_sim::{SimulationConfig, Simulator};
@@ -48,7 +45,7 @@ fn main() {
             cfg.duration_s = 5.0;
             cfg.params.num_accounts = 2_000;
             cfg.params.request_rate_tps = 700;
-            cfg.store_shards = shards;
+            cfg.cc.store_shards = shards;
             let (report, ledger) = Simulator::run_with_ledger(&cfg);
             let tip = ledger.tip_hash();
             let identical = match &reference_tip {
@@ -73,60 +70,6 @@ fn main() {
                 if identical { "yes" } else { "NO" },
             );
             assert!(identical, "{name}: S={shards} diverged from the reference");
-        }
-    }
-
-    // Parallel-formation sweep: S = 4 held fixed, W = formation worker threads varied. The
-    // single-core container of record cannot show wall-clock scaling (workers time-slice one
-    // core); the sweep still pins dispatch overhead and bit-identical ledgers at every W.
-    println!();
-    println!("parallel formation: FabricSharp, S=4 store/graph shards, W formation workers");
-    println!(
-        "{:<24} {:>7} {:>10} {:>12} {:>12} {:>12} {:>10}",
-        "workload", "threads", "committed", "arrival", "form p50", "form p99", "tip eq"
-    );
-    for (name, workload) in [
-        (
-            "ycsb-a local (0% cross)",
-            WorkloadKind::Ycsb(YcsbProfile::a().with_cross_shard(4, 0.0)),
-        ),
-        (
-            "ycsb-f 100% cross",
-            WorkloadKind::Ycsb(YcsbProfile::f().with_cross_shard(4, 1.0)),
-        ),
-    ] {
-        let mut reference_tip = None;
-        for threads in [0usize, 1, 2, 4] {
-            let mut cfg = SimulationConfig::new(SystemKind::FabricSharp, workload.clone());
-            cfg.duration_s = 5.0;
-            cfg.params.num_accounts = 2_000;
-            cfg.params.request_rate_tps = 700;
-            cfg.store_shards = 4;
-            cfg.formation_threads = threads;
-            let (report, ledger) = Simulator::run_with_ledger(&cfg);
-            let tip = ledger.tip_hash();
-            let identical = match &reference_tip {
-                None => {
-                    reference_tip = Some(tip);
-                    true
-                }
-                Some(reference) => *reference == tip,
-            };
-            println!(
-                "{:<24} {:>7} {:>10} {:>9.1} us {:>9.0} us {:>9.0} us {:>10}",
-                name,
-                if threads == 0 {
-                    "W=0".to_string()
-                } else {
-                    format!("W={threads}")
-                },
-                report.committed,
-                report.measured_arrival_us_per_txn,
-                report.formation.p50_us,
-                report.formation.p99_us,
-                if identical { "yes" } else { "NO" },
-            );
-            assert!(identical, "{name}: W={threads} diverged from W=0");
         }
     }
 }

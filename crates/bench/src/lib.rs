@@ -128,10 +128,8 @@ pub fn print_commit_table<T: std::fmt::Display>(x_label: &str, rows: &[(T, Vec<S
 
 /// Prints the per-stage pipeline occupancy for every system at every sweep point: how many
 /// simulated milliseconds the formation stage and the validate/commit stage were busy, and
-/// what fraction of the formation time overlapped commit work. Under the phased driver the
-/// overlap is what the event cadence alone produces; with `pipelined_formation` on, the
-/// formation stage runs concurrently with arrivals and the overlap (plus the forced-join
-/// count) shows how well the three-stage pipeline is balanced.
+/// what fraction of the formation time overlapped commit work (what the event cadence alone
+/// produces).
 pub fn print_occupancy_table<T: std::fmt::Display>(x_label: &str, rows: &[(T, Vec<SimReport>)]) {
     println!("pipeline occupancy (simulated time): formation-busy ms / commit-busy ms / overlap %");
     print!("{x_label:<22}");

@@ -69,13 +69,6 @@ pub struct CcConfig {
     /// bit-for-bit the same ledgers (asserted by `tests/sharding_determinism.rs`); the knob
     /// trades single-path simplicity for independently scalable shards.
     pub store_shards: usize,
-    /// Number of worker threads the *sharded* dependency-graph engine fans its per-shard
-    /// arrival and formation work out on (border node-copy inserts, per-shard formation topo
-    /// sorts, per-shard ww restoration, pruning). `0` (the default) runs everything inline on
-    /// the driver thread — the reference path; with `store_shards == 0` the knob is inert
-    /// (the flat engine has no per-shard decomposition). Every `W` produces bit-for-bit the
-    /// same ledgers (asserted by `tests/parallel_formation_determinism.rs`).
-    pub formation_threads: usize,
     /// When `true`, transactions tagged [`crate::txn::TemplateClass::Safe`] by the workload's
     /// template static analysis bypass dependency-graph insertion, cycle probing and
     /// ww-restore entirely — they are spliced into the committed order at their arrival
@@ -90,16 +83,6 @@ pub struct CcConfig {
     /// `E`-thread pool with per-wave barriers. Every `E` produces bit-for-bit the same
     /// ledgers and store states (asserted by `tests/scheduler_determinism.rs`).
     pub execution_threads: usize,
-    /// When `true`, block formation (topo sort + ww restore + prune, Algorithms 3 and 5) runs
-    /// on a dedicated formation worker thread while arrivals for the *next* block continue to
-    /// stream in: the pending set is sealed at the cut, handed to the worker, and arrivals
-    /// that can be proved independent of the sealed snapshot proceed eagerly (their graph
-    /// inserts are queued and replayed in arrival order when the cut lands); anything else
-    /// stalls until the cut completes. `false` (the default) runs the phased reference where
-    /// the cut finishes before the next arrival is processed. Either setting produces
-    /// bit-for-bit the same ledgers, stores and decisions (asserted by
-    /// `tests/pipelined_formation_determinism.rs`).
-    pub pipelined_formation: bool,
     /// Size (in KiB) at which the durable ledger rotates to a new segment file. Only consulted
     /// when a durable ledger directory is configured; the in-memory reference ledger ignores
     /// it. Defaults to 64 KiB — small enough that multi-block test runs exercise rotation.
@@ -122,10 +105,8 @@ impl Default for CcConfig {
             bloom_hashes: 3,
             track_exact_reachability: false,
             store_shards: 0,
-            formation_threads: 0,
             template_fastpath: false,
             execution_threads: 0,
-            pipelined_formation: false,
             segment_rotate_kib: 64,
             checkpoint_interval: 0,
             durable_fsync: false,
@@ -149,11 +130,6 @@ impl CcConfig {
         if self.bloom_hashes == 0 || self.bloom_hashes > 16 {
             return Err(crate::error::CommonError::InvalidConfig(
                 "bloom_hashes must be in 1..=16".into(),
-            ));
-        }
-        if self.formation_threads > 256 {
-            return Err(crate::error::CommonError::InvalidConfig(
-                "formation_threads must be at most 256".into(),
             ));
         }
         if self.execution_threads > 256 {

@@ -25,22 +25,6 @@ impl FabricSharpCC {
     pub fn on_arrival(&mut self, txn: Transaction) -> CommitDecision {
         self.stats.arrivals += 1;
 
-        // Pipelined formation: while a sealed block is forming on the worker, try to decide
-        // the arrival against the live state plus the seal-time snapshot. Arrivals that
-        // cannot be proved independent of the forming block join the cut first and then take
-        // the normal path below — the decision itself is never deferred.
-        let txn = if self.formation_inflight() {
-            match self.arrival_during_formation(txn) {
-                crate::frontier::WindowArrival::Decided(decision) => return decision,
-                crate::frontier::WindowArrival::NeedsJoin(txn) => {
-                    self.join_inflight(true);
-                    txn
-                }
-            }
-        } else {
-            txn
-        };
-
         // Idempotence guard: consensus deduplicates in practice, but a replayed transaction
         // must not end up in the pending set (or the graph) twice. The `knows` check also
         // covers transactions already cut into a block but not yet pruned — whether they were

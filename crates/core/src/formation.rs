@@ -15,8 +15,7 @@
 use crate::orderer_cc::FabricSharpCC;
 use eov_common::txn::{Transaction, TxnId};
 use eov_common::version::SeqNo;
-use eov_depgraph::{snapshot_threshold, GraphEngine};
-use eov_vstore::ShardedIndices;
+use eov_depgraph::snapshot_threshold;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -24,65 +23,66 @@ impl FabricSharpCC {
     /// Algorithm 3: forms the next block from the pending set. Returns the transactions in
     /// their final commit order with `end_ts` assigned; returns an empty vector (and does not
     /// advance the block number) when nothing is pending.
-    ///
-    /// With [`CcConfig::pipelined_formation`] on, this degenerates to a synchronous
-    /// seal-then-join round trip through the formation worker — same contract, same bits —
-    /// so drivers that never overlap (tests, the phased chains) keep working unchanged.
-    ///
-    /// [`CcConfig::pipelined_formation`]: eov_common::config::CcConfig::pipelined_formation
     pub fn cut_block(&mut self) -> Vec<Transaction> {
-        if self.config.pipelined_formation {
-            if self.begin_cut() == 0 {
-                return Vec::new();
-            }
-            return self.finish_cut().txns;
-        }
         if self.pending_txns.is_empty() {
             return Vec::new();
         }
         let block_no = self.next_block;
 
-        // Step 1: compute the commit order (topological sort over reachability). The `_par`
-        // entry point fans the sharded engine's per-shard sorts out across the formation
-        // worker pool when one is configured; the k-way merge behind it re-imposes the same
-        // deterministic order the inline sort computes.
+        // Step 1: compute the commit order (topological sort over reachability).
         let t_order = Instant::now();
         let tracked_order: Vec<TxnId> = self
             .graph
-            .topo_sort_pending_par()
+            .topo_sort_pending()
             .into_iter()
             .filter(|id| self.pending_txns.contains_key(&id.0))
             .collect();
         // Template fast path: splice the untracked (safe-class) transactions back in at their
         // acceptance positions. With the fast path off, `safe_pending` is always empty and
         // `tracked_order` passes through untouched.
-        let order = merge_safe_into_order(tracked_order, &self.safe_pending, &self.pending_seq);
+        let order = self.merge_safe_into_order(tracked_order);
         self.stats.reorder_compute_order += t_order.elapsed();
 
         // Step 2: restore ww dependencies among pending transactions along that order.
         let t_ww = Instant::now();
-        let raw_chains = raw_ww_chains(&self.indices);
-        restore_ww_from_chains(&mut self.graph, &order, &raw_chains);
+        self.restore_ww_dependencies(&order);
         self.stats.reorder_restore_ww += t_ww.elapsed();
 
         // Step 3: persist — assign slots, update CW/CR, mark committed in the graph.
         let t_persist = Instant::now();
-        let (block_txns, span_sum) = persist_block_graph_side(
-            &mut self.graph,
-            &mut self.pending_txns,
-            &order,
-            block_no,
-            self.config.template_fastpath,
-        );
-        persist_block_index_side(
-            &mut self.indices,
-            &block_txns,
-            self.config.template_fastpath,
-        );
-        for txn in &block_txns {
+        let mut block_txns = Vec::with_capacity(order.len());
+        for (i, id) in order.iter().enumerate() {
+            let mut txn = self
+                .pending_txns
+                .remove(&id.0)
+                .expect("order only contains pending transactions");
+            let slot = SeqNo::new(block_no, i as u32 + 1);
+            txn.end_ts = Some(slot);
             self.pending_seq.remove(&txn.id.0);
+
+            if self.config.template_fastpath && txn.template_class.is_safe() {
+                // Fast-path transaction: it has no graph node to mark and no conflicts any
+                // future arrival could resolve against, so the CW/CR updates are skipped
+                // wholesale. The untracked-commit log keeps replay idempotent until the
+                // commit ages past the pruning horizon.
+                self.graph.note_untracked_commit(txn.id, block_no);
+            } else {
+                // Committed-read index: record this transaction as a reader of each key it
+                // read.
+                for read in txn.read_set.iter() {
+                    self.indices.record_cr(read.key.clone(), slot, txn.id);
+                }
+                // Committed-write index: record the writes and drop readers of the
+                // overwritten values (they no longer read the latest version).
+                for write in txn.write_set.iter() {
+                    self.indices.record_cw(write.key.clone(), slot, txn.id);
+                    self.indices.drop_stale_readers(&write.key, slot);
+                }
+                self.graph.mark_committed(txn.id, slot);
+            }
+            self.stats.block_span_sum += txn.block_span().unwrap_or(0);
+            block_txns.push(txn);
         }
-        self.stats.block_span_sum += span_sum;
         self.safe_pending.clear();
         self.indices.clear_pending();
         self.stats.reorder_persist += t_persist.elapsed();
@@ -100,201 +100,93 @@ impl FabricSharpCC {
         self.next_block = next;
         block_txns
     }
-}
 
-/// Merges the fast-path (untracked) pending transactions into the tracked topological
-/// order by acceptance sequence, reproducing the reference order bit for bit.
-///
-/// Why this is exact: the reference topo sort is a Kahn sort whose ready-heap is keyed by
-/// pending-list slot — i.e. acceptance order. A safe transaction's node is edge-free, so
-/// in the reference run it is ready from the first step and pops exactly when its slot is
-/// the minimum among ready nodes: immediately before the first tracked transaction that
-/// *follows* it in acceptance order pops. Emitting safe transactions changes no tracked
-/// transaction's readiness (no edges), so the tracked subsequence is unchanged. Hence:
-/// walk the tracked order, and before each tracked transaction emit every remaining safe
-/// transaction accepted earlier than it; leftovers go at the end.
-pub(crate) fn merge_safe_into_order(
-    tracked: Vec<TxnId>,
-    safe_pending: &[TxnId],
-    pending_seq: &HashMap<u64, u64>,
-) -> Vec<TxnId> {
-    if safe_pending.is_empty() {
-        return tracked;
-    }
-    let mut merged = Vec::with_capacity(tracked.len() + safe_pending.len());
-    let mut safe = safe_pending.iter().copied().peekable();
-    for id in tracked {
-        let tracked_seq = pending_seq[&id.0];
-        while let Some(next_safe) = safe.peek().copied() {
-            if pending_seq[&next_safe.0] < tracked_seq {
-                merged.push(next_safe);
-                safe.next();
-            } else {
-                break;
-            }
+    /// Merges the fast-path (untracked) pending transactions into the tracked topological
+    /// order by acceptance sequence, reproducing the reference order bit for bit.
+    ///
+    /// Why this is exact: the reference topo sort is a Kahn sort whose ready-heap is keyed by
+    /// pending-list slot — i.e. acceptance order. A safe transaction's node is edge-free, so
+    /// in the reference run it is ready from the first step and pops exactly when its slot is
+    /// the minimum among ready nodes: immediately before the first tracked transaction that
+    /// *follows* it in acceptance order pops. Emitting safe transactions changes no tracked
+    /// transaction's readiness (no edges), so the tracked subsequence is unchanged. Hence:
+    /// walk the tracked order, and before each tracked transaction emit every remaining safe
+    /// transaction accepted earlier than it; leftovers go at the end.
+    fn merge_safe_into_order(&self, tracked: Vec<TxnId>) -> Vec<TxnId> {
+        if self.safe_pending.is_empty() {
+            return tracked;
         }
-        merged.push(id);
+        let mut merged = Vec::with_capacity(tracked.len() + self.safe_pending.len());
+        let mut safe = self.safe_pending.iter().copied().peekable();
+        for id in tracked {
+            let tracked_seq = self.pending_seq[&id.0];
+            while let Some(next_safe) = safe.peek().copied() {
+                if self.pending_seq[&next_safe.0] < tracked_seq {
+                    merged.push(next_safe);
+                    safe.next();
+                } else {
+                    break;
+                }
+            }
+            merged.push(id);
+        }
+        merged.extend(safe);
+        merged
     }
-    merged.extend(safe);
-    merged
-}
 
-/// Snapshots the raw per-key pending-writer chains in deterministic key order: for every key
-/// with at least one pending writer, the writers in PW record order tagged with the owning
-/// shard. Position filtering against the commit order happens later, in
-/// [`restore_ww_from_chains`] — keeping the snapshot order-free lets pipelined formation take
-/// it at seal time, before the commit order exists.
-///
-/// Deterministic iteration: the keys are sorted (PendingIndex iteration order is not
-/// deterministic across replicas, but the set of keys is identical, so sorting fixes the
-/// replication requirement of Section 3.5). Each key routes to exactly one shard, so the
-/// (shard, key) pairs are unique and the key order is total. Only the `TxnId` lists are
-/// copied — the keys themselves stay borrowed (the ROADMAP-named per-block `String` clone
-/// hot spot stays gone).
-pub(crate) fn raw_ww_chains(indices: &ShardedIndices) -> Vec<(usize, Vec<TxnId>)> {
-    let mut keyed: Vec<(usize, &eov_common::rwset::Key, &[TxnId])> = indices.iter_pw().collect();
-    keyed.sort_by(|a, b| a.1.cmp(b.1));
-    keyed
-        .into_iter()
-        .map(|(shard, _key, txns)| (shard, txns.to_vec()))
-        .collect()
-}
+    /// Algorithm 5: for every key written by pending transactions, walk its writers in the
+    /// computed commit order, connect every consecutive pair that is not already connected in
+    /// the reachability structure, and propagate the updated reachability downstream once, in
+    /// topological order.
+    fn restore_ww_dependencies(&mut self, order: &[TxnId]) {
+        let position: HashMap<TxnId, usize> =
+            order.iter().enumerate().map(|(i, id)| (*id, i)).collect();
 
-/// Algorithm 5: for every key written by pending transactions, walk its writers in the
-/// computed commit order, connect every consecutive pair that is not already connected in
-/// the reachability structure, and propagate the updated reachability downstream once, in
-/// topological order. `raw_chains` is the key-ordered snapshot from [`raw_ww_chains`].
-pub(crate) fn restore_ww_from_chains(
-    graph: &mut GraphEngine,
-    order: &[TxnId],
-    raw_chains: &[(usize, Vec<TxnId>)],
-) {
-    let position: HashMap<TxnId, usize> =
-        order.iter().enumerate().map(|(i, id)| (*id, i)).collect();
+        // Split borrows: the PW iteration only reads `indices` while the edge restoration
+        // mutates `graph` — destructuring lets the borrow checker see they are disjoint, so
+        // the chains are built from borrowed slices instead of per-block key clones.
+        let FabricSharpCC { indices, graph, .. } = self;
 
-    // Per-key writer chains, one construction shared by both execution paths below: only
-    // pending writers that made it into the order matter, and a chain needs at least two
-    // of them to induce an edge.
-    let chains: Vec<(usize, Vec<TxnId>)> = raw_chains
-        .iter()
-        .filter_map(|(shard, txns)| {
+        // Deterministic iteration: sort the written keys (PendingIndex iteration order is not
+        // deterministic across replicas, but the set of keys is identical, so sorting fixes the
+        // replication requirement of Section 3.5). Each key routes to exactly one shard, so the
+        // (shard, key) pairs are unique and the key order is total.
+        let mut keyed: Vec<(usize, &eov_common::rwset::Key, &[TxnId])> =
+            indices.iter_pw().collect();
+        keyed.sort_by(|a, b| a.1.cmp(b.1));
+
+        let mut head_txns: Vec<TxnId> = Vec::new();
+        for (shard, _key, txns) in keyed {
+            // Only pending writers that made it into the order matter, walked in that order.
             let mut writers: Vec<TxnId> = txns
                 .iter()
                 .copied()
                 .filter(|t| position.contains_key(t))
                 .collect();
-            if writers.len() < 2 {
-                return None;
-            }
             writers.sort_by_key(|t| position[t]);
-            Some((*shard, writers))
-        })
-        .collect();
-
-    // Parallel decomposition: with a formation worker pool attached and no live border
-    // transaction, every per-key writer chain and its downstream closure stays inside the
-    // shard owning the key, so the whole restoration + propagation step decomposes into
-    // independent per-shard jobs (operations on disjoint shards commute, hence the result
-    // is bit-identical to the sequential interleaving below — pinned by the depgraph
-    // proptests and end-to-end by `tests/parallel_formation_determinism.rs`).
-    if graph.can_restore_ww_per_shard() {
-        let mut chains_by_shard: std::collections::BTreeMap<usize, Vec<Vec<TxnId>>> =
-            std::collections::BTreeMap::new();
-        for (shard, writers) in chains {
-            chains_by_shard.entry(shard).or_default().push(writers);
-        }
-        graph.restore_ww_chains(chains_by_shard.into_iter().collect());
-        return;
-    }
-
-    let mut head_txns: Vec<TxnId> = Vec::new();
-    for (shard, writers) in chains {
-        // Connect every consecutive pair that is not already connected; pairs already
-        // connected (like Txn0 → Txn3 in Figure 9) are implicit. The paper's Algorithm 5
-        // restores only the *first* unconnected pair per key, but with three or more
-        // pending writers of one key that leaves the ww chain incomplete and a later
-        // arrival can close an undetected cycle through the committed tail of the chain
-        // (caught by the `formation_properties` property test). Restoring every
-        // consecutive pair keeps the graph acyclic (edges always follow the commit order)
-        // and is therefore a strictly safe strengthening.
-        for pair in writers.windows(2) {
-            let (first, second) = (pair[0], pair[1]);
-            if graph.already_connected(first, second) {
-                continue;
-            }
-            graph.add_ww_edge(shard, first, second);
-            if !head_txns.contains(&second) {
-                head_txns.push(second);
+            // Connect every consecutive pair that is not already connected; pairs already
+            // connected (like Txn0 → Txn3 in Figure 9) are implicit. The paper's Algorithm 5
+            // restores only the *first* unconnected pair per key, but with three or more
+            // pending writers of one key that leaves the ww chain incomplete and a later
+            // arrival can close an undetected cycle through the committed tail of the chain
+            // (caught by the `formation_properties` property test). Restoring every
+            // consecutive pair keeps the graph acyclic (edges always follow the commit order)
+            // and is therefore a strictly safe strengthening.
+            for pair in writers.windows(2) {
+                let (first, second) = (pair[0], pair[1]);
+                if graph.already_connected(first, second) {
+                    continue;
+                }
+                graph.add_ww_edge(shard, first, second);
+                if !head_txns.contains(&second) {
+                    head_txns.push(second);
+                }
             }
         }
-    }
 
-    // Propagate the new reachability downstream exactly once per node, in topological
-    // order (Figure 9: Txn8 is reachable through both restored edges but is updated once).
-    graph.propagate_from(&head_txns);
-}
-
-/// The graph half of block persistence: walks the commit order, moves each transaction out of
-/// `pending_txns` with its slot assigned, and marks it committed (or logs the untracked
-/// commit for fast-path transactions). Returns the block plus the summed block span. The
-/// graph and the CW/CR indices are disjoint structures, so splitting the reference
-/// interleaving into a graph pass here and an index pass in [`persist_block_index_side`]
-/// leaves every observable bit identical — which is what lets pipelined formation run this
-/// half on the worker while the indices stay with the driver.
-pub(crate) fn persist_block_graph_side(
-    graph: &mut GraphEngine,
-    pending_txns: &mut HashMap<u64, Transaction>,
-    order: &[TxnId],
-    block_no: u64,
-    template_fastpath: bool,
-) -> (Vec<Transaction>, u64) {
-    let mut block_txns = Vec::with_capacity(order.len());
-    let mut span_sum = 0u64;
-    for (i, id) in order.iter().enumerate() {
-        let mut txn = pending_txns
-            .remove(&id.0)
-            .expect("order only contains pending transactions");
-        let slot = SeqNo::new(block_no, i as u32 + 1);
-        txn.end_ts = Some(slot);
-        if template_fastpath && txn.template_class.is_safe() {
-            // Fast-path transaction: it has no graph node to mark and no conflicts any
-            // future arrival could resolve against. The untracked-commit log keeps replay
-            // idempotent until the commit ages past the pruning horizon.
-            graph.note_untracked_commit(txn.id, block_no);
-        } else {
-            graph.mark_committed(txn.id, slot);
-        }
-        span_sum += txn.block_span().unwrap_or(0);
-        block_txns.push(txn);
-    }
-    (block_txns, span_sum)
-}
-
-/// The index half of block persistence: records the committed reads and writes of every
-/// non-fast-path transaction, in commit order, dropping stale readers of each overwritten
-/// key. See [`persist_block_graph_side`] for why the split is exact.
-pub(crate) fn persist_block_index_side(
-    indices: &mut ShardedIndices,
-    block_txns: &[Transaction],
-    template_fastpath: bool,
-) {
-    for txn in block_txns {
-        if template_fastpath && txn.template_class.is_safe() {
-            // Fast-path transaction: nothing ever resolves against its keys, so the CW/CR
-            // updates are skipped wholesale.
-            continue;
-        }
-        let slot = txn.end_ts.expect("block transactions carry their slot");
-        // Committed-read index: record this transaction as a reader of each key it read.
-        for read in txn.read_set.iter() {
-            indices.record_cr(read.key.clone(), slot, txn.id);
-        }
-        // Committed-write index: record the writes and drop readers of the overwritten
-        // values (they no longer read the latest version).
-        for write in txn.write_set.iter() {
-            indices.record_cw(write.key.clone(), slot, txn.id);
-            indices.drop_stale_readers(&write.key, slot);
-        }
+        // Propagate the new reachability downstream exactly once per node, in topological
+        // order (Figure 9: Txn8 is reachable through both restored edges but is updated once).
+        graph.propagate_from(&head_txns);
     }
 }
 

@@ -36,7 +36,6 @@ pub mod commit;
 pub mod dependency;
 pub mod endorser;
 pub mod formation;
-pub mod frontier;
 pub mod orderer_cc;
 pub mod pipeline;
 pub mod recovery;
@@ -50,7 +49,6 @@ pub use commit::{
 };
 pub use dependency::{resolve_dependencies, resolve_sharded, ResolvedDeps, ShardedResolution};
 pub use endorser::{SimulationContext, SnapshotEndorser, TxnEffects};
-pub use frontier::FormedBlock;
 pub use orderer_cc::FabricSharpCC;
 pub use pipeline::{CommitOutcome, CommitWorker, EndorseJob, EndorseLogic, EndorserPool};
 pub use recovery::{

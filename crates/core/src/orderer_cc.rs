@@ -50,13 +50,6 @@ pub struct FabricSharpCC {
     /// acceptance order.
     pub(crate) safe_pending: Vec<TxnId>,
     pub(crate) stats: CcStats,
-    /// Pipelined formation: the open window, if a sealed block is forming on the worker.
-    pub(crate) inflight: Option<crate::frontier::InflightFormation>,
-    /// Pipelined formation: a formed block that was joined (possibly force-joined by a window
-    /// event) but not yet claimed by [`FabricSharpCC::finish_cut`].
-    pub(crate) formed_ready: Option<crate::frontier::FormedBlock>,
-    /// Pipelined formation: the worker thread, spawned lazily at the first seal.
-    pub(crate) worker: Option<crate::frontier::FormationWorker>,
 }
 
 impl FabricSharpCC {
@@ -77,9 +70,6 @@ impl FabricSharpCC {
             pending_seq: HashMap::new(),
             safe_pending: Vec::new(),
             stats: CcStats::default(),
-            inflight: None,
-            formed_ready: None,
-            worker: None,
         }
     }
 
@@ -131,12 +121,6 @@ impl FabricSharpCC {
     /// ones it cut itself) are ignored, as are transactions without a commit slot.
     pub fn register_committed(&mut self, txn: &Transaction) {
         let Some(slot) = txn.end_ts else { return };
-        // Pipelined formation: while a sealed block is forming, answer from the seal-time
-        // snapshot when the phased reference would have returned early; otherwise join the
-        // cut and fall through to the normal path.
-        if self.formation_inflight() && self.committed_registration_is_noop(txn) {
-            return;
-        }
         // `knows` also covers transactions this controller committed via the template fast
         // path: they were never graph-inserted, but the untracked-commit log remembers them,
         // so a replayed delivery of the block must not re-register them.
@@ -180,11 +164,6 @@ impl FabricSharpCC {
     /// Drops an accepted pending transaction (used by adversarial scenarios and tests only;
     /// the normal pipeline never un-accepts a transaction).
     pub fn withdraw(&mut self, id: TxnId) -> Option<Transaction> {
-        // Pipelined formation: un-accepting a transaction rewrites graph and index state the
-        // forming block may depend on — always land the cut first.
-        if self.formation_inflight() {
-            self.join_inflight(true);
-        }
         let txn = self.pending_txns.remove(&id.0)?;
         self.graph.remove(id);
         self.indices.remove_pending_txn(id);

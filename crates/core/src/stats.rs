@@ -59,13 +59,6 @@ pub struct CcStats {
     pub reorder_persist: Duration,
     /// Block-formation latency: graph/index pruning (Figure 11 "Prune G").
     pub reorder_prune: Duration,
-
-    /// Pipelined formation only: arrivals (or commit notifications) that could not be proved
-    /// independent of the in-flight formation snapshot and had to wait for the cut to land.
-    pub forced_formation_joins: u64,
-    /// Pipelined formation only: cumulative wall-clock time the driver spent stalled waiting
-    /// for the formation worker inside [`CcStats::forced_formation_joins`] joins.
-    pub formation_join_wait: Duration,
 }
 
 impl CcStats {

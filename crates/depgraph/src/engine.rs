@@ -42,30 +42,16 @@ pub struct GraphEngine {
 }
 
 impl GraphEngine {
-    /// Builds the engine selected by `config.store_shards`; `config.formation_threads` attaches
-    /// the sharded engine's worker pool (inert for the flat engine, which has no per-shard
-    /// decomposition to fan out).
+    /// Builds the engine selected by `config.store_shards`.
     pub fn new(config: CcConfig) -> Self {
         let kind = if config.store_shards == 0 {
             EngineKind::Global(DependencyGraph::new(config))
         } else {
-            EngineKind::Sharded(
-                ShardedDependencyGraph::new(config, config.store_shards)
-                    .with_formation_threads(config.formation_threads),
-            )
+            EngineKind::Sharded(ShardedDependencyGraph::new(config, config.store_shards))
         };
         GraphEngine {
             kind,
             untracked: HashMap::new(),
-        }
-    }
-
-    /// Number of worker threads the sharded engine fans per-shard work out on (0 = inline,
-    /// and always 0 for the flat engine).
-    pub fn formation_threads(&self) -> usize {
-        match &self.kind {
-            EngineKind::Global(_) => 0,
-            EngineKind::Sharded(g) => g.formation_threads(),
         }
     }
 
@@ -135,20 +121,6 @@ impl GraphEngine {
     /// This is the idempotence question arrival and replay ask.
     pub fn knows(&self, id: TxnId) -> bool {
         self.contains(id) || self.is_untracked(id)
-    }
-
-    /// Membership snapshot of every id the engine currently knows (tracked graph nodes plus
-    /// the untracked-commit log). Pipelined formation seals this set at the cut so the driver
-    /// can keep answering [`GraphEngine::knows`]-style idempotence questions while the graph
-    /// itself is away on the formation worker.
-    pub fn known_ids(&self) -> std::collections::HashSet<TxnId> {
-        let mut known: std::collections::HashSet<TxnId> = match &self.kind {
-            EngineKind::Global(g) => g.tracked_ids().collect(),
-            EngineKind::Sharded(g) => g.tracked_ids().collect(),
-        };
-        // lint-determinism: allow (membership set; no consumer sequences on iteration order)
-        known.extend(self.untracked.keys().copied());
-        known
     }
 
     /// Number of not-yet-pruned untracked commits (tests and stats).
@@ -230,38 +202,6 @@ impl GraphEngine {
         match &self.kind {
             EngineKind::Global(g) => g.topo_sort_pending(),
             EngineKind::Sharded(g) => g.topo_sort_pending(),
-        }
-    }
-
-    /// Worker-pool variant of [`GraphEngine::topo_sort_pending`]: the sharded engine fans its
-    /// per-shard sorts out when a pool is attached; output is bit-identical either way. This
-    /// is what block formation calls.
-    pub fn topo_sort_pending_par(&mut self) -> Vec<TxnId> {
-        match &mut self.kind {
-            EngineKind::Global(g) => g.topo_sort_pending(),
-            EngineKind::Sharded(g) => g.topo_sort_pending_par(),
-        }
-    }
-
-    /// Whether Algorithm 5's ww restoration may be decomposed per shard and fanned out on the
-    /// worker pool ([`GraphEngine::restore_ww_chains`]); always false for the flat engine.
-    pub fn can_restore_ww_per_shard(&self) -> bool {
-        match &self.kind {
-            EngineKind::Global(_) => false,
-            EngineKind::Sharded(g) => g.can_restore_ww_per_shard(),
-        }
-    }
-
-    /// Algorithm 5 decomposed per shard (valid only when
-    /// [`GraphEngine::can_restore_ww_per_shard`] holds): restores the per-key writer chains
-    /// grouped by owning shard and propagates downstream inside each shard, fanning the
-    /// independent shards out on the worker pool.
-    pub fn restore_ww_chains(&mut self, chains_by_shard: Vec<(usize, Vec<Vec<TxnId>>)>) {
-        match &mut self.kind {
-            EngineKind::Global(_) => {
-                unreachable!("callers gate on can_restore_ww_per_shard, which is false here")
-            }
-            EngineKind::Sharded(g) => g.restore_ww_chains(chains_by_shard),
         }
     }
 

@@ -333,12 +333,6 @@ impl DependencyGraph {
         self.nodes.iter().filter_map(Option::as_ref)
     }
 
-    /// Every tracked transaction id (pending and committed-but-unpruned), in slot order.
-    /// Membership snapshots only — slot order is an allocation artifact, not a schedule.
-    pub fn tracked_ids(&self) -> impl Iterator<Item = TxnId> + '_ {
-        self.nodes().map(|n| n.id)
-    }
-
     /// Total slot space (live + recyclable); sizes the dense per-slot side tables used by the
     /// traversal modules.
     pub(crate) fn capacity(&self) -> usize {

@@ -22,9 +22,8 @@
 //!   shard, plus the cross-shard coordinator that tracks border transactions and keeps every
 //!   node copy carrying the *global* reach set (so cycle checks and the topo merge stay
 //!   bit-identical to the unsharded engine).
-//! * [`parallel`] — the reusable worker pool the sharded engine fans its per-shard arrival
-//!   and formation work out on (`CcConfig::formation_threads`); every thread count produces
-//!   bit-identical ledgers.
+//! * [`parallel`] — the reusable ownership-passing worker pool the parallel commit
+//!   scheduler fans its execution waves out on.
 //! * [`engine`] — [`engine::GraphEngine`], the orderer-facing dispatch between the global and
 //!   sharded variants, selected by `CcConfig::store_shards`.
 
@@ -47,7 +46,7 @@ pub use bloom::{BloomFilter, RelayBloom};
 pub use engine::GraphEngine;
 pub use graph::{CycleCheck, DependencyGraph, InsertReport, PendingTxnSpec, ReachSet, TxnNode};
 pub use interner::Interner;
-pub use parallel::{PoolJob, ShardJob, ShardOutcome, ShardPool, WorkPool};
+pub use parallel::{PoolJob, WorkPool};
 pub use prune::snapshot_threshold;
 pub use reference::NaiveGraph;
 pub use sharded::{ShardDeps, ShardedDependencyGraph};

@@ -1,22 +1,17 @@
-//! Reusable worker pools for ownership-passing parallel work.
+//! A reusable worker pool for ownership-passing parallel work.
 //!
-//! The key-space sharded engine ([`crate::sharded::ShardedDependencyGraph`]) decomposes its
-//! arrival and formation work into per-shard pieces that touch disjoint [`DependencyGraph`]s:
-//! node-copy insertion for a border transaction, the per-shard pending topo sorts behind the
-//! k-way formation merge, per-shard ww-chain restoration, and age-based pruning. This module
-//! provides the thread pool those pieces fan out on — and, since the parallel commit
-//! scheduler (`fabricsharp_core::scheduler`), the generic [`WorkPool`] it is built on, which
-//! ships arbitrary `Send` resources to workers by value.
+//! The parallel commit scheduler (`fabricsharp_core::scheduler`) fans each execution wave out
+//! on the generic [`WorkPool`], which ships arbitrary `Send` resources (a wave's transaction
+//! chunk, a shard `MultiVersionStore`) to workers by value.
 //!
 //! # Design
 //!
 //! Jobs transfer **ownership** of their resource instead of borrowing it: the coordinator
-//! moves each resource (a shard `DependencyGraph`, a wave's transaction chunk, a shard
-//! `MultiVersionStore`) out of its slot, ships it to a worker together with a boxed closure
-//! and a per-call result channel, and re-installs it when the worker hands it back. That
-//! keeps every closure `'static` (no scoped-lifetime unsafety), makes concurrent use of one
-//! pool by independent callers sound (each call collects on its own channel), and costs only
-//! a shallow struct move per job.
+//! moves each resource (a wave's transaction chunk, a shard `MultiVersionStore`) out of its
+//! slot, ships it to a worker together with a boxed closure and a per-call result channel,
+//! and re-installs it when the worker hands it back. That keeps every closure `'static` (no
+//! scoped-lifetime unsafety), makes concurrent use of one pool by independent callers sound
+//! (each call collects on its own channel), and costs only a shallow struct move per job.
 //!
 //! # Determinism
 //!
@@ -24,17 +19,14 @@
 //! reported back and re-assembles results by batch position — the scheduling order is
 //! invisible to the caller. Combined with the jobs operating on disjoint resources, a
 //! parallel batch is observably identical to running the same closures sequentially in any
-//! order, which is the foundation of both the `W`-independence ledger guarantee
-//! (`tests/parallel_formation_determinism.rs`) and the `E`-independence commit guarantee
+//! order, which is the foundation of the `E`-independence commit guarantee
 //! (`tests/scheduler_determinism.rs`).
 //!
 //! A worker that panics (a bug in a job closure) poisons the batch's result channel on its
 //! unwind path, so the caller fails fast instead of deadlocking — the same contract as the
 //! pipeline stage executor in `fabricsharp_core::pipeline`.
 
-use crate::graph::DependencyGraph;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use eov_common::txn::TxnId;
 use std::thread::JoinHandle;
 
 /// A unit of work for a [`WorkPool`]: runs against the resource it was shipped with, returns
@@ -132,6 +124,11 @@ impl<R: Send + 'static, O: Send + 'static> WorkPool<R, O> {
         self.workers.len()
     }
 
+    #[cfg(test)]
+    fn worker_finished(&self, index: usize) -> bool {
+        self.workers[index].is_finished()
+    }
+
     /// Runs a batch of jobs to completion and returns `(resource, outcome)` per batch
     /// position, in batch order. Blocks until every job has reported back.
     ///
@@ -197,154 +194,75 @@ impl<R, O> Drop for WorkPool<R, O> {
     }
 }
 
-/// What a per-shard job returns to the coordinator.
-#[derive(Debug)]
-pub enum ShardOutcome {
-    /// Nothing beyond the mutated graph (edge wiring, ww restoration).
-    Unit,
-    /// A per-shard topological order of that shard's pending transactions.
-    Order(Vec<TxnId>),
-    /// The transactions pruned from that shard.
-    Pruned(Vec<TxnId>),
-}
-
-/// A per-shard unit of work: runs against the shard's graph, returns an outcome.
-pub type ShardJob = PoolJob<DependencyGraph, ShardOutcome>;
-
-/// A pool of `W` worker threads executing [`ShardJob`]s on shard graphs shipped by value —
-/// the dependency-graph specialisation of [`WorkPool`].
-#[derive(Debug)]
-pub struct ShardPool {
-    inner: WorkPool<DependencyGraph, ShardOutcome>,
-}
-
-impl ShardPool {
-    /// Spawns `threads` workers (clamped to at least one).
-    pub fn new(threads: usize) -> Self {
-        ShardPool {
-            inner: WorkPool::with_name(threads, "depgraph-shard-worker"),
-        }
-    }
-
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.inner.threads()
-    }
-
-    /// Runs a batch of per-shard jobs to completion and returns `(graph, outcome)` per batch
-    /// position, in batch order. Blocks until every job has reported back. See
-    /// [`WorkPool::run`] for the panic contract.
-    pub fn run(
-        &self,
-        batch: Vec<(DependencyGraph, ShardJob)>,
-    ) -> Vec<(DependencyGraph, ShardOutcome)> {
-        self.inner.run(batch)
-    }
-
-    #[cfg(test)]
-    fn worker_finished(&self, index: usize) -> bool {
-        self.inner.workers[index].is_finished()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::PendingTxnSpec;
-    use eov_common::config::CcConfig;
-    use eov_common::version::SeqNo;
 
-    fn graph_with(ids: std::ops::Range<u64>) -> DependencyGraph {
-        let mut g = DependencyGraph::new(CcConfig::default());
-        for id in ids {
-            g.insert_pending(
-                PendingTxnSpec {
-                    id: TxnId(id),
-                    start_ts: SeqNo::snapshot_after(0),
-                    read_keys: vec![],
-                    write_keys: vec![],
-                },
-                &[],
-                &[],
-                1,
-            );
-        }
-        g
+    type Job = PoolJob<Vec<u64>, u64>;
+
+    fn pool(threads: usize) -> WorkPool<Vec<u64>, u64> {
+        WorkPool::with_name(threads, "test-worker")
     }
 
     #[test]
     fn batch_results_come_back_in_batch_order() {
-        let pool = ShardPool::new(3);
+        let pool = pool(3);
         assert_eq!(pool.threads(), 3);
-        let batch: Vec<(DependencyGraph, ShardJob)> = (0..6u64)
+        let batch: Vec<(Vec<u64>, Job)> = (0..6u64)
             .map(|i| {
-                let g = graph_with(i * 10..i * 10 + i + 1);
-                let job: ShardJob =
-                    Box::new(move |g: &mut DependencyGraph| ShardOutcome::Order(g.pending_ids()));
-                (g, job)
+                let resource: Vec<u64> = (i * 10..i * 10 + i + 1).collect();
+                let job: Job = Box::new(|v: &mut Vec<u64>| v.len() as u64);
+                (resource, job)
             })
             .collect();
         let results = pool.run(batch);
         assert_eq!(results.len(), 6);
-        for (i, (graph, outcome)) in results.iter().enumerate() {
+        for (i, (resource, len)) in results.iter().enumerate() {
             let i = i as u64;
-            assert_eq!(graph.len(), i as usize + 1, "graph {i} came back intact");
-            match outcome {
-                ShardOutcome::Order(ids) => {
-                    let expected: Vec<TxnId> = (i * 10..i * 10 + i + 1).map(TxnId).collect();
-                    assert_eq!(*ids, expected, "outcome {i}");
-                }
-                other => panic!("unexpected outcome {other:?}"),
-            }
+            let expected: Vec<u64> = (i * 10..i * 10 + i + 1).collect();
+            assert_eq!(*resource, expected, "resource {i} came back intact");
+            assert_eq!(*len, i + 1, "outcome {i}");
         }
     }
 
     #[test]
-    fn jobs_mutate_the_graphs_they_own() {
-        let pool = ShardPool::new(2);
-        let batch: Vec<(DependencyGraph, ShardJob)> = (0..4u64)
+    fn jobs_mutate_the_resources_they_own() {
+        let pool = pool(2);
+        let batch: Vec<(Vec<u64>, Job)> = (0..4u64)
             .map(|i| {
-                let g = graph_with(0..3);
-                let job: ShardJob = Box::new(move |g: &mut DependencyGraph| {
-                    g.mark_committed(TxnId(i % 3), SeqNo::new(1, 1));
-                    ShardOutcome::Unit
+                let job: Job = Box::new(move |v: &mut Vec<u64>| {
+                    v.retain(|x| *x != i % 3);
+                    0
                 });
-                (g, job)
+                (vec![0, 1, 2], job)
             })
             .collect();
-        for (i, (graph, _)) in pool.run(batch).into_iter().enumerate() {
-            assert_eq!(graph.pending_len(), 2, "job {i} committed one of three");
+        for (i, (resource, _)) in pool.run(batch).into_iter().enumerate() {
+            assert_eq!(resource.len(), 2, "job {i} removed one of three");
         }
     }
 
     #[test]
     fn sequential_batches_reuse_the_same_workers() {
-        let pool = ShardPool::new(1);
+        let pool = pool(1);
         for round in 0..8u64 {
-            let batch: Vec<(DependencyGraph, ShardJob)> = vec![(
-                graph_with(round..round + 1),
-                Box::new(|g: &mut DependencyGraph| ShardOutcome::Pruned(g.pending_ids())),
-            )];
-            let mut results = pool.run(batch);
+            let job: Job = Box::new(|v: &mut Vec<u64>| v[0]);
+            let mut results = pool.run(vec![(vec![round], job)]);
             let (_, outcome) = results.pop().unwrap();
-            match outcome {
-                ShardOutcome::Pruned(ids) => assert_eq!(ids, vec![TxnId(round)]),
-                other => panic!("unexpected outcome {other:?}"),
-            }
+            assert_eq!(outcome, round);
         }
     }
 
     /// A caught job panic must not allow silent reuse: the worker is dead and the caller's
-    /// shard graphs may have been lost mid-move, so the next batch fails loudly instead of
+    /// moved-out resources may have been lost, so the next batch fails loudly instead of
     /// computing against empty placeholders.
     #[test]
     fn a_pool_that_swallowed_a_panic_is_poisoned_for_later_batches() {
-        let pool = ShardPool::new(1);
-        let bad: Vec<(DependencyGraph, ShardJob)> = vec![(
-            graph_with(0..1),
-            Box::new(|_: &mut DependencyGraph| panic!("buggy job")),
-        )];
-        let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.run(bad)));
+        let pool = pool(1);
+        let bad: Job = Box::new(|_: &mut Vec<u64>| panic!("buggy job"));
+        let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.run(vec![(vec![], bad)])
+        }));
         assert!(first.is_err(), "the offending batch itself panics");
         // The dead worker has sent its unwind notice; give its thread a moment to finish so
         // the liveness check observes it deterministically.
@@ -352,11 +270,8 @@ mod tests {
             std::thread::yield_now();
         }
         let again = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run(vec![(
-                graph_with(0..1),
-                Box::new(|g: &mut DependencyGraph| ShardOutcome::Order(g.pending_ids()))
-                    as ShardJob,
-            )])
+            let job: Job = Box::new(|v: &mut Vec<u64>| v.len() as u64);
+            pool.run(vec![(vec![], job)])
         }));
         let err = again.expect_err("a poisoned pool must refuse further batches");
         let message = err
@@ -373,30 +288,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "pool worker panicked")]
     fn a_panicking_job_fails_the_batch_fast() {
-        let pool = ShardPool::new(2);
-        let batch: Vec<(DependencyGraph, ShardJob)> = vec![
-            (
-                graph_with(0..1),
-                Box::new(|_: &mut DependencyGraph| panic!("buggy job")),
-            ),
-            (
-                graph_with(1..2),
-                Box::new(|_: &mut DependencyGraph| ShardOutcome::Unit),
-            ),
-        ];
-        let _ = pool.run(batch);
+        let pool = pool(2);
+        let bad: Job = Box::new(|_: &mut Vec<u64>| panic!("buggy job"));
+        let good: Job = Box::new(|_: &mut Vec<u64>| 0);
+        let _ = pool.run(vec![(vec![], bad), (vec![], good)]);
     }
 
-    /// The generic pool works with non-graph resources — the shape the commit scheduler
-    /// relies on (shipping transaction chunks / shard stores by value).
+    /// Jobs see the resource they were shipped with and may grow it — the shape the commit
+    /// scheduler relies on (shipping transaction chunks / shard stores by value).
     #[test]
     fn generic_pool_round_trips_arbitrary_resources() {
-        let pool: WorkPool<Vec<u64>, u64> = WorkPool::with_name(2, "test-worker");
-        #[allow(clippy::type_complexity)]
-        let batch: Vec<(Vec<u64>, PoolJob<Vec<u64>, u64>)> = (0..5u64)
+        let pool = pool(2);
+        let batch: Vec<(Vec<u64>, Job)> = (0..5u64)
             .map(|i| {
                 let resource: Vec<u64> = (0..=i).collect();
-                let job: PoolJob<Vec<u64>, u64> = Box::new(move |v: &mut Vec<u64>| {
+                let job: Job = Box::new(move |v: &mut Vec<u64>| {
                     v.push(100 + i);
                     v.iter().sum()
                 });

@@ -37,16 +37,6 @@
 //! out of a node copy for the duration of a walk and moved back (never cloned), so a warm
 //! coordinator updates reachability without allocating.
 //!
-//! # Worker threads
-//!
-//! With [`ShardedDependencyGraph::with_formation_threads`] the engine attaches a reusable
-//! [`ShardPool`]: border-transaction node copies are inserted on workers (one per touched
-//! shard), the per-shard pending topo sorts behind the formation k-way merge fan out, ww
-//! restoration decomposes per shard whenever no border transaction is live, and pruning runs
-//! per shard. Every parallel path re-assembles results deterministically, so ledgers are
-//! bit-identical at every thread count (`tests/parallel_formation_determinism.rs`); `W = 0`
-//! keeps the inline reference path.
-//!
 //! This mirrors the per-partition reasoning of transaction-template robustness work
 //! (Vandevoort et al., arXiv:2201.05021): conflicts decompose per key partition, and only the
 //! border transactions require cross-partition reasoning.
@@ -54,7 +44,6 @@
 use crate::bloom::BloomFilter;
 use crate::graph::{CycleCheck, DependencyGraph, InsertReport, PendingTxnSpec, TxnNode};
 use crate::interner::Interner;
-use crate::parallel::{ShardJob, ShardOutcome, ShardPool};
 use crate::visited::EpochVisited;
 use eov_common::config::CcConfig;
 use eov_common::rwset::Key;
@@ -62,7 +51,6 @@ use eov_common::txn::TxnId;
 use eov_common::version::SeqNo;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::Arc;
 
 /// One shard's slice of a new transaction: the keys it touches there and the dependency edges
 /// induced by those keys.
@@ -148,14 +136,10 @@ pub struct ShardedDependencyGraph {
     border_total: usize,
     pending: PendingOrder,
     scratch: RefCell<CoordScratch>,
-    /// Worker pool for the per-shard arrival/formation fan-out; `None` is the inline (`W = 0`)
-    /// reference mode. Shared (not re-spawned) across clones.
-    pool: Option<Arc<ShardPool>>,
 }
 
 impl ShardedDependencyGraph {
-    /// Creates an empty sharded graph with `shards` partitions (clamped to at least 1),
-    /// running in the inline (`W = 0`) execution mode.
+    /// Creates an empty sharded graph with `shards` partitions (clamped to at least 1).
     pub fn new(config: CcConfig, shards: usize) -> Self {
         let shards = shards.max(1);
         ShardedDependencyGraph {
@@ -167,21 +151,7 @@ impl ShardedDependencyGraph {
             border_total: 0,
             pending: PendingOrder::default(),
             scratch: RefCell::new(CoordScratch::default()),
-            pool: None,
         }
-    }
-
-    /// Attaches a reusable worker pool of `threads` workers for the per-shard arrival and
-    /// formation fan-out. `0` keeps (or restores) the inline reference mode. Every thread
-    /// count produces bit-identical results.
-    pub fn with_formation_threads(mut self, threads: usize) -> Self {
-        self.pool = (threads > 0).then(|| Arc::new(ShardPool::new(threads)));
-        self
-    }
-
-    /// Number of formation worker threads (0 in inline mode).
-    pub fn formation_threads(&self) -> usize {
-        self.pool.as_ref().map(|p| p.threads()).unwrap_or(0)
     }
 
     /// The configuration the graph was built with.
@@ -235,12 +205,6 @@ impl ShardedDependencyGraph {
     /// The pending transactions in global arrival order.
     pub fn pending_ids(&self) -> Vec<TxnId> {
         self.pending.iter().collect()
-    }
-
-    /// Every tracked transaction id (pending and committed-but-unpruned), in arbitrary order.
-    /// Membership snapshots only — consumers must not sequence on the order.
-    pub fn tracked_ids(&self) -> impl Iterator<Item = TxnId> + '_ {
-        self.gid.live_ids()
     }
 
     /// The home shards of a tracked transaction (ascending).
@@ -344,16 +308,16 @@ impl ShardedDependencyGraph {
     ///
     /// Local fast path: a single-home transaction whose home shard tracks no border
     /// transaction delegates wholesale to that shard's own insert — the coordinator is never
-    /// touched. Otherwise the coordinator inserts the node copies (fanned out on the worker
-    /// pool for border transactions when one is attached), merges their reach sets, wires
-    /// successor edges per shard, and runs one global downstream walk — on the epoch scratch,
-    /// with the delta moved out of the first copy instead of cloned — that applies the delta
-    /// to every copy of every reachable node (crossing shards at border transactions).
+    /// touched. Otherwise the coordinator inserts the node copies, merges their reach sets,
+    /// wires successor edges per shard, and runs one global downstream walk — on the epoch
+    /// scratch, with the delta moved out of the first copy instead of cloned — that applies
+    /// the delta to every copy of every reachable node (crossing shards at border
+    /// transactions).
     ///
     /// Re-inserting a still-tracked id is a contract-level **no-op** on every copy and on the
     /// coordinator's bookkeeping, exactly like the flat engine: replayed consensus deliveries
     /// must not re-wire edges or disturb border counts (pinned by the replay regression tests
-    /// below at every shard × thread combination).
+    /// below).
     pub fn insert_pending(
         &mut self,
         spec: PendingTxnSpec,
@@ -406,52 +370,19 @@ impl ShardedDependencyGraph {
 
         // Coordinator path. 1) Insert the node copies with predecessor edges only (no local
         // walk fires without successors). Each shard's predecessors carry global reach sets by
-        // the invariant, so each copy's set is the union of its shard's contribution. The
-        // copies are independent (disjoint shard graphs), so a border transaction's copies go
-        // out to the worker pool when one is attached.
-        match (self.pool.clone(), per_shard.len() > 1) {
-            (Some(pool), true) => {
-                let mut batch: Vec<(DependencyGraph, ShardJob)> =
-                    Vec::with_capacity(per_shard.len());
-                for d in per_shard {
-                    let graph = std::mem::replace(
-                        &mut self.shards[d.shard],
-                        DependencyGraph::new(self.config),
-                    );
-                    let copy_spec = PendingTxnSpec {
-                        id,
-                        start_ts: spec.start_ts,
-                        read_keys: d.read_keys.clone(),
-                        write_keys: d.write_keys.clone(),
-                    };
-                    let preds = d.predecessors.clone();
-                    batch.push((
-                        graph,
-                        Box::new(move |g: &mut DependencyGraph| {
-                            g.insert_pending(copy_spec, &preds, &[], next_block);
-                            ShardOutcome::Unit
-                        }),
-                    ));
-                }
-                for (d, (graph, _)) in per_shard.iter().zip(pool.run(batch)) {
-                    self.shards[d.shard] = graph;
-                }
-            }
-            _ => {
-                for d in per_shard {
-                    self.shards[d.shard].insert_pending(
-                        PendingTxnSpec {
-                            id,
-                            start_ts: spec.start_ts,
-                            read_keys: d.read_keys.clone(),
-                            write_keys: d.write_keys.clone(),
-                        },
-                        &d.predecessors,
-                        &[],
-                        next_block,
-                    );
-                }
-            }
+        // the invariant, so each copy's set is the union of its shard's contribution.
+        for d in per_shard {
+            self.shards[d.shard].insert_pending(
+                PendingTxnSpec {
+                    id,
+                    start_ts: spec.start_ts,
+                    read_keys: d.read_keys.clone(),
+                    write_keys: d.write_keys.clone(),
+                },
+                &d.predecessors,
+                &[],
+                next_block,
+            );
         }
 
         // 2) Merge the copies so every one carries the global set.
@@ -733,44 +664,6 @@ impl ShardedDependencyGraph {
         self.topo_sort_pending_global()
     }
 
-    /// Worker-pool variant of [`ShardedDependencyGraph::topo_sort_pending`]: the independent
-    /// per-shard topo sorts fan out across the pool (when one is attached and no border
-    /// transaction forces the coordinator), and the arrival-index k-way merge re-imposes the
-    /// deterministic global order. Output is bit-identical to the inline variant.
-    pub fn topo_sort_pending_par(&mut self) -> Vec<TxnId> {
-        if self.pending.len() <= 1 {
-            return self.pending.iter().collect();
-        }
-        if self.border_total > 0 {
-            return self.topo_sort_pending_global();
-        }
-        let Some(pool) = self.pool.clone() else {
-            return self.topo_sort_pending();
-        };
-        let mut shard_ids: Vec<usize> = Vec::new();
-        let mut batch: Vec<(DependencyGraph, ShardJob)> = Vec::new();
-        for (i, slot) in self.shards.iter_mut().enumerate() {
-            if slot.pending_len() == 0 {
-                continue;
-            }
-            let graph = std::mem::replace(slot, DependencyGraph::new(self.config));
-            shard_ids.push(i);
-            batch.push((
-                graph,
-                Box::new(|g: &mut DependencyGraph| ShardOutcome::Order(g.topo_sort_pending())),
-            ));
-        }
-        let mut orders: Vec<Vec<TxnId>> = Vec::with_capacity(batch.len());
-        for (&shard, (graph, outcome)) in shard_ids.iter().zip(pool.run(batch)) {
-            self.shards[shard] = graph;
-            match outcome {
-                ShardOutcome::Order(order) => orders.push(order),
-                other => unreachable!("topo job returned {other:?}"),
-            }
-        }
-        self.merge_orders(orders)
-    }
-
     /// K-way merge of per-shard topological orders by global arrival index. Shards are
     /// disjoint (no border transaction), so each per-shard order is the restriction of the
     /// global order and the merge reconstructs it exactly.
@@ -890,52 +783,6 @@ impl ShardedDependencyGraph {
         order
     }
 
-    /// Whether Algorithm 5's ww restoration may be decomposed per shard and fanned out: a
-    /// worker pool is attached and no border transaction is live (every restored chain and its
-    /// downstream closure then stays inside one shard).
-    pub fn can_restore_ww_per_shard(&self) -> bool {
-        self.pool.is_some() && self.border_total == 0
-    }
-
-    /// Algorithm 5, decomposed per shard: `chains_by_shard` carries, per owning shard, the
-    /// per-key pending-writer chains in commit order (keys in globally sorted order). Each
-    /// shard restores its chains — skipping already-connected pairs — and propagates the
-    /// restored reachability downstream locally, on a worker when the pool is attached. Only
-    /// valid with zero live border transactions (callers gate on
-    /// [`ShardedDependencyGraph::can_restore_ww_per_shard`]); results are bit-identical to
-    /// driving [`ShardedDependencyGraph::add_ww_edge`] +
-    /// [`ShardedDependencyGraph::propagate_from`] key by key, because operations on disjoint
-    /// shards commute.
-    pub fn restore_ww_chains(&mut self, chains_by_shard: Vec<(usize, Vec<Vec<TxnId>>)>) {
-        debug_assert!(
-            self.border_total == 0,
-            "per-shard ww restore requires no border txns"
-        );
-        let Some(pool) = self.pool.clone() else {
-            for (shard, chains) in chains_by_shard {
-                restore_ww_chains_local(&mut self.shards[shard], &chains);
-            }
-            return;
-        };
-        let mut shard_ids: Vec<usize> = Vec::with_capacity(chains_by_shard.len());
-        let mut batch: Vec<(DependencyGraph, ShardJob)> = Vec::with_capacity(chains_by_shard.len());
-        for (shard, chains) in chains_by_shard {
-            let graph =
-                std::mem::replace(&mut self.shards[shard], DependencyGraph::new(self.config));
-            shard_ids.push(shard);
-            batch.push((
-                graph,
-                Box::new(move |g: &mut DependencyGraph| {
-                    restore_ww_chains_local(g, &chains);
-                    ShardOutcome::Unit
-                }),
-            ));
-        }
-        for (&shard, (graph, _)) in shard_ids.iter().zip(pool.run(batch)) {
-            self.shards[shard] = graph;
-        }
-    }
-
     /// Exact reachability over the union adjacency (cross-shard DFS on the epoch scratch).
     pub fn reaches_exact(&self, from: TxnId, to: TxnId) -> bool {
         if from == to {
@@ -1004,40 +851,15 @@ impl ShardedDependencyGraph {
         true
     }
 
-    /// Section 4.6 pruning across shards (fanned out on the pool when one is attached). Ages
-    /// are kept in sync on every copy, so each border transaction leaves all its shards in the
-    /// same call; the coordinator then retires its bookkeeping. Returns the number of distinct
-    /// transactions removed.
+    /// Section 4.6 pruning across shards. Ages are kept in sync on every copy, so each border
+    /// transaction leaves all its shards in the same call; the coordinator then retires its
+    /// bookkeeping. Returns the number of distinct transactions removed.
     pub fn prune_for_next_block(&mut self, next_block: u64) -> usize {
         let threshold = crate::prune::snapshot_threshold(next_block, self.config.max_span);
         let mut removed: HashSet<u64> = HashSet::new();
-        match self.pool.clone() {
-            Some(pool) if self.shards.len() > 1 => {
-                let mut batch: Vec<(DependencyGraph, ShardJob)> =
-                    Vec::with_capacity(self.shards.len());
-                for slot in self.shards.iter_mut() {
-                    let graph = std::mem::replace(slot, DependencyGraph::new(self.config));
-                    batch.push((
-                        graph,
-                        Box::new(move |g: &mut DependencyGraph| {
-                            ShardOutcome::Pruned(g.prune_stale(threshold))
-                        }),
-                    ));
-                }
-                for (shard, (graph, outcome)) in pool.run(batch).into_iter().enumerate() {
-                    self.shards[shard] = graph;
-                    match outcome {
-                        ShardOutcome::Pruned(ids) => removed.extend(ids.iter().map(|t| t.0)),
-                        other => unreachable!("prune job returned {other:?}"),
-                    }
-                }
-            }
-            _ => {
-                for shard in &mut self.shards {
-                    for id in shard.prune_stale(threshold) {
-                        removed.insert(id.0);
-                    }
-                }
+        for shard in &mut self.shards {
+            for id in shard.prune_stale(threshold) {
+                removed.insert(id.0);
             }
         }
         // Release in sorted id order: the interner recycles slots LIFO, so iterating the
@@ -1058,32 +880,6 @@ impl ShardedDependencyGraph {
             }
         }
         removed_ids.len()
-    }
-}
-
-/// One shard's slice of Algorithm 5: restore the consecutive writer pairs of every chain that
-/// are not already connected, then propagate the restored reachability downstream exactly once
-/// per node in topological order — the same sequence the coordinator drives globally, which is
-/// why the per-shard decomposition is bit-identical when the shards are disjoint.
-fn restore_ww_chains_local(g: &mut DependencyGraph, chains: &[Vec<TxnId>]) {
-    let mut heads: Vec<TxnId> = Vec::new();
-    for chain in chains {
-        for pair in chain.windows(2) {
-            let (first, second) = (pair[0], pair[1]);
-            if g.already_connected(first, second) {
-                continue;
-            }
-            g.add_edge_with_union(first, second);
-            if !heads.contains(&second) {
-                heads.push(second);
-            }
-        }
-    }
-    let iteration = g.reachable_in_topo_order(&heads);
-    for txn in iteration {
-        for s in g.successors(txn) {
-            g.propagate_reachability(txn, s);
-        }
     }
 }
 
@@ -1469,53 +1265,51 @@ mod tests {
     /// Replay regression (PR 3's flat-engine contract extended to the sharded copies): a
     /// replayed delivery of a transaction that was already *cut into a block* — committed on
     /// every copy but not yet pruned — must not disturb any shard graph, the coordinator's
-    /// pending order, or the border bookkeeping. Checked in inline and worker-pool mode.
+    /// pending order, or the border bookkeeping.
     #[test]
     fn replaying_a_cut_but_unpruned_border_txn_is_a_noop_on_every_copy() {
-        for threads in [0usize, 2] {
-            let mut g = ShardedDependencyGraph::new(cfg_exact(), 2).with_formation_threads(threads);
-            g.insert_pending(
-                spec(1, vec![], vec![]),
-                &[],
-                &[],
-                &deps_for(&[0], &[], &[]),
-                1,
-            );
-            g.insert_pending(
-                spec(5, vec![], vec![]),
-                &[TxnId(1)],
-                &[],
-                &deps_for(&[0, 1], &[(0, TxnId(1))], &[]),
-                1,
-            );
-            g.mark_committed(TxnId(5), SeqNo::new(1, 1));
-            assert_eq!(g.pending_len(), 1);
-            assert_eq!(g.border_count(), 1);
+        let mut g = ShardedDependencyGraph::new(cfg_exact(), 2);
+        g.insert_pending(
+            spec(1, vec![], vec![]),
+            &[],
+            &[],
+            &deps_for(&[0], &[], &[]),
+            1,
+        );
+        g.insert_pending(
+            spec(5, vec![], vec![]),
+            &[TxnId(1)],
+            &[],
+            &deps_for(&[0, 1], &[(0, TxnId(1))], &[]),
+            1,
+        );
+        g.mark_committed(TxnId(5), SeqNo::new(1, 1));
+        assert_eq!(g.pending_len(), 1);
+        assert_eq!(g.border_count(), 1);
 
-            // Replay of the cut transaction, with *different* (stale) dependency lists — the
-            // guard must win before any shard sees the new lists.
-            let report = g.insert_pending(
-                spec(5, vec![], vec![]),
-                &[],
-                &[TxnId(1)],
-                &deps_for(&[0, 1], &[], &[(0, TxnId(1))]),
-                2,
-            );
-            assert_eq!(report, InsertReport::default(), "W={threads}");
-            assert_eq!(g.border_count(), 1, "W={threads}");
-            assert_eq!(g.pending_ids(), vec![TxnId(1)], "W={threads}");
+        // Replay of the cut transaction, with *different* (stale) dependency lists — the
+        // guard must win before any shard sees the new lists.
+        let report = g.insert_pending(
+            spec(5, vec![], vec![]),
+            &[],
+            &[TxnId(1)],
+            &deps_for(&[0, 1], &[], &[(0, TxnId(1))]),
+            2,
+        );
+        assert_eq!(report, InsertReport::default());
+        assert_eq!(g.border_count(), 1);
+        assert_eq!(g.pending_ids(), vec![TxnId(1)]);
+        assert!(
+            !g.node(TxnId(5)).unwrap().is_pending(),
+            "replay must not resurrect the committed copy"
+        );
+        for shard in 0..2 {
             assert!(
-                !g.node(TxnId(5)).unwrap().is_pending(),
-                "W={threads}: replay must not resurrect the committed copy"
+                g.shard(shard).successors(TxnId(5)).is_empty(),
+                "replay must not wire the stale successor edge in shard {shard}"
             );
-            for shard in 0..2 {
-                assert!(
-                    g.shard(shard).successors(TxnId(5)).is_empty(),
-                    "W={threads}: replay must not wire the stale successor edge in shard {shard}"
-                );
-            }
-            assert!(g.is_acyclic_exact());
         }
+        assert!(g.is_acyclic_exact());
     }
 
     /// Recycled-slot regression across shards: removing a border transaction frees its slots
@@ -1524,149 +1318,57 @@ mod tests {
     /// reachability from the previous occupant.
     #[test]
     fn recycled_slots_start_clean_across_shards_and_coordinator() {
-        for threads in [0usize, 2] {
-            let mut g = ShardedDependencyGraph::new(cfg_exact(), 2).with_formation_threads(threads);
-            g.insert_pending(
-                spec(1, vec![], vec![]),
-                &[],
-                &[],
-                &deps_for(&[0], &[], &[]),
-                1,
-            );
-            // Border txn 5 downstream of 1, homed on both shards.
-            g.insert_pending(
-                spec(5, vec![], vec![]),
-                &[TxnId(1)],
-                &[],
-                &deps_for(&[0, 1], &[(0, TxnId(1))], &[]),
-                1,
-            );
-            g.remove(TxnId(5));
-            assert_eq!(g.border_count(), 0);
+        let mut g = ShardedDependencyGraph::new(cfg_exact(), 2);
+        g.insert_pending(
+            spec(1, vec![], vec![]),
+            &[],
+            &[],
+            &deps_for(&[0], &[], &[]),
+            1,
+        );
+        // Border txn 5 downstream of 1, homed on both shards.
+        g.insert_pending(
+            spec(5, vec![], vec![]),
+            &[TxnId(1)],
+            &[],
+            &deps_for(&[0, 1], &[(0, TxnId(1))], &[]),
+            1,
+        );
+        g.remove(TxnId(5));
+        assert_eq!(g.border_count(), 0);
 
-            // Txn 6 recycles 5's slots: a *local* txn on shard 1, unrelated to txn 1.
-            g.insert_pending(
-                spec(6, vec![], vec![]),
-                &[],
-                &[],
-                &deps_for(&[1], &[], &[]),
-                1,
-            );
-            assert!(!g.is_border(TxnId(6)), "W={threads}");
-            assert!(
-                g.shard(1).predecessors(TxnId(6)).is_empty(),
-                "W={threads}: recycled slot leaked adjacency"
-            );
-            assert_eq!(
-                g.node(TxnId(6)).unwrap().anti_reachable.bloom_popcount(),
-                0,
-                "W={threads}: recycled slot leaked filter bits"
-            );
-            assert!(!g.reaches_exact(TxnId(1), TxnId(6)), "W={threads}");
-            assert!(g.shard(0).successors(TxnId(1)).is_empty(), "W={threads}");
-            // And a border txn recycling coordinator slots keeps the bookkeeping exact.
-            g.insert_pending(
-                spec(7, vec![], vec![]),
-                &[],
-                &[],
-                &deps_for(&[0, 1], &[], &[]),
-                1,
-            );
-            assert_eq!(g.border_count(), 1, "W={threads}");
-            g.remove(TxnId(7));
-            assert_eq!(g.border_count(), 0, "W={threads}");
-            assert_eq!(g.topo_sort_pending(), vec![TxnId(1), TxnId(6)]);
-        }
-    }
-
-    /// The worker-pool topo variant must equal the inline merge, including with empty shards
-    /// and a shard count larger than the thread count.
-    #[test]
-    fn parallel_topo_sort_matches_inline_at_every_thread_count() {
-        for threads in [1usize, 2, 4] {
-            let mut g = ShardedDependencyGraph::new(cfg_exact(), 4).with_formation_threads(threads);
-            assert_eq!(g.formation_threads(), threads);
-            // Shards 0, 1, 3 get interleaved arrivals; shard 2 stays empty.
-            for (i, shard) in [0usize, 1, 3, 0, 1, 3, 0].iter().enumerate() {
-                let id = i as u64 + 1;
-                let preds: Vec<(usize, TxnId)> = if id > 3 {
-                    vec![(*shard, TxnId(id - 3))]
-                } else {
-                    vec![]
-                };
-                let pred_ids: Vec<TxnId> = preds.iter().map(|(_, t)| *t).collect();
-                g.insert_pending(
-                    spec(id, vec![], vec![]),
-                    &pred_ids,
-                    &[],
-                    &deps_for(&[*shard], &preds, &[]),
-                    1,
-                );
-            }
-            let inline = g.topo_sort_pending();
-            let parallel = g.topo_sort_pending_par();
-            assert_eq!(inline, parallel, "W={threads}");
-            assert_eq!(inline.len(), 7);
-        }
-    }
-
-    /// Per-shard ww restoration (the parallel formation path) must equal the sequential
-    /// add_ww_edge + propagate_from sequence.
-    #[test]
-    fn restore_ww_chains_matches_the_sequential_restoration() {
-        let build = || {
-            let mut g = ShardedDependencyGraph::new(cfg_exact(), 2);
-            for (id, shard) in [(1u64, 0usize), (2, 0), (3, 1), (4, 1), (5, 1)] {
-                g.insert_pending(
-                    spec(id, vec![], vec![]),
-                    &[],
-                    &[],
-                    &deps_for(&[shard], &[], &[]),
-                    1,
-                );
-            }
-            g
-        };
-        // Sequential reference: chains (1 → 2) on shard 0, (3 → 4 → 5) on shard 1.
-        let mut reference = build();
-        let mut heads = Vec::new();
-        for (shard, a, b) in [(0usize, 1u64, 2u64), (1, 3, 4), (1, 4, 5)] {
-            if !reference.already_connected(TxnId(a), TxnId(b)) {
-                reference.add_ww_edge(shard, TxnId(a), TxnId(b));
-                heads.push(TxnId(b));
-            }
-        }
-        reference.propagate_from(&heads);
-
-        for threads in [0usize, 2] {
-            let mut decomposed = build().with_formation_threads(threads);
-            assert!(decomposed.can_restore_ww_per_shard() == (threads > 0));
-            decomposed.restore_ww_chains(vec![
-                (0, vec![vec![TxnId(1), TxnId(2)]]),
-                (1, vec![vec![TxnId(3), TxnId(4), TxnId(5)]]),
-            ]);
-            for a in 1..=5u64 {
-                for b in 1..=5u64 {
-                    assert_eq!(
-                        reference.reaches_exact(TxnId(a), TxnId(b)),
-                        decomposed.reaches_exact(TxnId(a), TxnId(b)),
-                        "W={threads}: reaches({a}, {b})"
-                    );
-                    let rn = reference.node(TxnId(b)).unwrap();
-                    let dn = decomposed.node(TxnId(b)).unwrap();
-                    assert_eq!(
-                        rn.anti_reachable.contains(TxnId(a)),
-                        dn.anti_reachable.contains(TxnId(a)),
-                        "W={threads}: bloom bit {a} in reach({b})"
-                    );
-                }
-            }
-            assert_eq!(
-                reference.topo_sort_pending(),
-                decomposed.topo_sort_pending(),
-                "W={threads}"
-            );
-        }
+        // Txn 6 recycles 5's slots: a *local* txn on shard 1, unrelated to txn 1.
+        g.insert_pending(
+            spec(6, vec![], vec![]),
+            &[],
+            &[],
+            &deps_for(&[1], &[], &[]),
+            1,
+        );
+        assert!(!g.is_border(TxnId(6)));
+        assert!(
+            g.shard(1).predecessors(TxnId(6)).is_empty(),
+            "recycled slot leaked adjacency"
+        );
+        assert_eq!(
+            g.node(TxnId(6)).unwrap().anti_reachable.bloom_popcount(),
+            0,
+            "recycled slot leaked filter bits"
+        );
+        assert!(!g.reaches_exact(TxnId(1), TxnId(6)));
+        assert!(g.shard(0).successors(TxnId(1)).is_empty());
+        // And a border txn recycling coordinator slots keeps the bookkeeping exact.
+        g.insert_pending(
+            spec(7, vec![], vec![]),
+            &[],
+            &[],
+            &deps_for(&[0, 1], &[], &[]),
+            1,
+        );
+        assert_eq!(g.border_count(), 1);
+        g.remove(TxnId(7));
+        assert_eq!(g.border_count(), 0);
+        assert_eq!(g.topo_sort_pending(), vec![TxnId(1), TxnId(6)]);
     }
 }
 
@@ -1680,23 +1382,20 @@ mod proptests {
     /// verdict, every reach set (exact *and* bloom bits via `contains`), and the topological
     /// order — the micro-scale version of the ledger-identity acceptance criterion.
     ///
-    /// The sharded graph under test runs at a caller-chosen worker-thread count and on a
-    /// caller-chosen bloom geometry, so the same harness pins three things at once: the
-    /// coordinator's epoch-scratch walks against the flat engine's (the old clone-based walk
-    /// produced exactly the flat engine's sets, so agreement with the flat engine *is*
-    /// agreement with the old walk), worker-pool execution against inline, and saturated-bloom
+    /// The sharded graph under test runs on a caller-chosen bloom geometry, so the same
+    /// harness pins two things at once: the coordinator's epoch-scratch walks against the
+    /// flat engine's (the old clone-based walk produced exactly the flat engine's sets, so
+    /// agreement with the flat engine *is* agreement with the old walk), and saturated-bloom
     /// behaviour (false positives included) against the reference.
     fn run_equivalence(
         edges: Vec<(u64, u64)>,
         probes: Vec<(u64, u64)>,
         ww_edges: Vec<(u64, u64)>,
         shards: usize,
-        threads: usize,
         config: CcConfig,
     ) {
         let mut global = DependencyGraph::new(config);
-        let mut sharded =
-            ShardedDependencyGraph::new(config, shards).with_formation_threads(threads);
+        let mut sharded = ShardedDependencyGraph::new(config, shards);
 
         // Synthetic router: txn t "touches" shard (t % shards) always, plus shard
         // ((t / 3) % shards) — so roughly a third of transactions are border. An edge (a, b)
@@ -1845,10 +1544,8 @@ mod proptests {
             }
         }
 
-        // Same commit order, via both the inline and the worker-pool formation path.
-        let reference_order = global.topo_sort_pending();
-        assert_eq!(reference_order, sharded.topo_sort_pending());
-        assert_eq!(reference_order, sharded.topo_sort_pending_par());
+        // Same commit order.
+        assert_eq!(global.topo_sort_pending(), sharded.topo_sort_pending());
         assert!(sharded.is_acyclic_exact());
 
         // Same cycle verdicts on random probes.
@@ -1877,24 +1574,7 @@ mod proptests {
                 track_exact_reachability: true,
                 ..CcConfig::default()
             };
-            run_equivalence(edges, probes, ww, shards, 0, config);
-        }
-
-        /// Worker-pool execution (border node-copy inserts, the parallel topo path) must stay
-        /// bit-identical to the flat reference at W > 0 too.
-        #[test]
-        fn worker_pool_execution_is_bit_identical_to_the_global_reference(
-            edges in proptest::collection::vec((0u64..12, 0u64..12), 0..40),
-            probes in proptest::collection::vec((0u64..12, 0u64..12), 1..8),
-            ww in proptest::collection::vec((0u64..12, 0u64..12), 0..10),
-            shards in 2usize..5,
-            threads in 1usize..4,
-        ) {
-            let config = CcConfig {
-                track_exact_reachability: true,
-                ..CcConfig::default()
-            };
-            run_equivalence(edges, probes, ww, shards, threads, config);
+            run_equivalence(edges, probes, ww, shards, config);
         }
 
         /// Bloom-saturation configuration: a 64-bit filter over 12 transactions saturates
@@ -1915,7 +1595,7 @@ mod proptests {
                 track_exact_reachability: true,
                 ..CcConfig::default()
             };
-            run_equivalence(edges, probes, ww, shards, 0, config);
+            run_equivalence(edges, probes, ww, shards, config);
         }
     }
 }

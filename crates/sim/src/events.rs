@@ -59,18 +59,6 @@ pub enum Event {
         /// When the orderer cut the block.
         formed_at: SimTime,
     },
-    /// Pipelined formation only: the modelled reordering delay of a sealed block elapses.
-    /// The driver joins the formation worker (or claims the force-joined result) and runs
-    /// block delivery inline — scheduled at seal time with exactly the timestamp the phased
-    /// mode gives its `BlockDelivered`, so the queue's FIFO tie-breaking sees the same
-    /// insertion sequence and event order stays bit-identical across the two modes.
-    PipelinedBlockReady {
-        /// Seal-order number of the formation to claim (back-pressure can force-join a
-        /// block before its ready event fires, so readiness is matched by number).
-        formation_no: u64,
-        /// When the orderer sealed the block.
-        formed_at: SimTime,
-    },
     /// The validator finished processing a delivered block; its effects are applied.
     BlockValidated {
         /// Ledger height this block commits at (assigned in delivery order).

@@ -49,51 +49,32 @@ fn percentile(sorted: &[u64], q: f64) -> f64 {
 
 /// Per-stage occupancy of the orderer→validator pipeline over one run, in *simulated* time:
 /// how long the formation stage and the validate/commit stage were busy, and for how long the
-/// two overlapped. In phased mode the overlap only comes from blocks still validating when
-/// the next cut fires; with `pipelined_formation` the formation windows of block `N+1` open
-/// while block `N` is still in the validator, so the overlap (and the formation stage's
-/// occupancy) is what the tentpole buys. The stall half (`arrival_stall_ms`, `forced_joins`)
-/// is *wall-clock* back-pressure measured on the driver: time arrivals spent waiting for the
-/// formation worker instead of queueing unboundedly.
-///
-/// Occupancy is diagnostic output only — it is deliberately excluded from the determinism
-/// comparisons (stall wall-clock depends on the machine, never on the schedule).
+/// two overlapped. The overlap comes from blocks still validating when the next cut fires.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PipelineOccupancy {
-    /// Simulated ms the formation stage (seal → delivery-ready) was busy.
+    /// Simulated ms the formation stage (cut → delivery) was busy.
     pub formation_busy_ms: f64,
     /// Simulated ms the validator/commit stage was busy.
     pub commit_busy_ms: f64,
     /// Simulated ms both stages were busy at once.
     pub overlap_ms: f64,
-    /// Wall-clock ms the driver stalled on forced formation joins (back-pressure).
-    pub arrival_stall_ms: f64,
-    /// Number of forced joins: window events that could not proceed eagerly.
-    pub forced_joins: u64,
 }
 
 impl PipelineOccupancy {
     /// Builds the occupancy summary from per-stage `(start, end)` busy windows in simulated
-    /// microseconds (any order, overlaps allowed — both lists are union-merged first) plus
-    /// the CC's `(forced_joins, wall-clock wait)` stall counters.
-    pub fn from_windows(
-        formation: &[(u64, u64)],
-        commit: &[(u64, u64)],
-        stalls: (u64, std::time::Duration),
-    ) -> Self {
+    /// microseconds (any order, overlaps allowed — both lists are union-merged first).
+    pub fn from_windows(formation: &[(u64, u64)], commit: &[(u64, u64)]) -> Self {
         let formation = merge_windows(formation);
         let commit = merge_windows(commit);
         PipelineOccupancy {
             formation_busy_ms: total_us(&formation) as f64 / 1_000.0,
             commit_busy_ms: total_us(&commit) as f64 / 1_000.0,
             overlap_ms: overlap_us(&formation, &commit) as f64 / 1_000.0,
-            arrival_stall_ms: stalls.1.as_secs_f64() * 1_000.0,
-            forced_joins: stalls.0,
         }
     }
 
     /// Fraction of the formation stage's busy time spent overlapping the commit stage, in
-    /// `[0, 1]` — the pipelining win at a glance.
+    /// `[0, 1]`.
     pub fn overlap_fraction(&self) -> f64 {
         if self.formation_busy_ms <= 0.0 {
             0.0
@@ -191,8 +172,8 @@ pub struct SimReport {
     /// The static template×template conflict matrix of the workload's mix, for downstream
     /// consumers (the `conflict_matrix` bench bin; later the Block-STM-style scheduler).
     pub conflict_matrix: ConflictMatrix,
-    /// Per-stage busy/overlap/stall accounting of the formation and commit stages. Excluded
-    /// from determinism comparisons (the stall half is wall-clock).
+    /// Per-stage busy/overlap accounting of the formation and commit stages, in simulated
+    /// time.
     pub occupancy: PipelineOccupancy,
 }
 
@@ -362,19 +343,16 @@ mod tests {
         let occ = PipelineOccupancy::from_windows(
             &[(0, 10_000), (5_000, 20_000)],
             &[(15_000, 30_000), (40_000, 50_000)],
-            (3, std::time::Duration::from_millis(2)),
         );
         assert!((occ.formation_busy_ms - 20.0).abs() < 1e-9);
         assert!((occ.commit_busy_ms - 25.0).abs() < 1e-9);
         assert!((occ.overlap_ms - 5.0).abs() < 1e-9);
-        assert_eq!(occ.forced_joins, 3);
-        assert!((occ.arrival_stall_ms - 2.0).abs() < 1e-9);
         assert!((occ.overlap_fraction() - 0.25).abs() < 1e-9);
     }
 
     #[test]
     fn occupancy_handles_empty_windows() {
-        let occ = PipelineOccupancy::from_windows(&[], &[(1, 1)], (0, std::time::Duration::ZERO));
+        let occ = PipelineOccupancy::from_windows(&[], &[(1, 1)]);
         assert_eq!(occ, PipelineOccupancy::default());
         assert_eq!(occ.overlap_fraction(), 0.0);
     }

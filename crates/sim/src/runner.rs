@@ -56,7 +56,11 @@ pub struct SimulationConfig {
     pub params: WorkloadParams,
     /// Block-formation parameters.
     pub block: BlockConfig,
-    /// FabricSharp concurrency-control parameters (ignored by the baselines).
+    /// Concurrency-control and engine parameters. FabricSharp reads all of them; for every
+    /// system `cc.store_shards` partitions the state store across key-space shards and
+    /// `cc.execution_threads` sizes the parallel commit scheduler (both produce identical
+    /// ledgers at every value — asserted by `tests/sharding_determinism.rs` and
+    /// `tests/scheduler_determinism.rs`).
     pub cc: CcConfig,
     /// Pipeline cost profile (Fabric or FastFabric testbed).
     pub profile: PipelineProfile,
@@ -70,36 +74,6 @@ pub struct SimulationConfig {
     /// single-threaded mode; `N ≥ 1` spawns `N` endorser shards plus the committer thread.
     /// Both modes produce identical ledgers for the same seed.
     pub endorser_shards: usize,
-    /// Number of key-space shards for the state store, the CW/CR/PW/PR indices and the
-    /// dependency graph. `0` (the default) runs the unsharded reference engine; `S ≥ 1`
-    /// partitions the key space across `S` stores and graph shards behind the cross-shard
-    /// coordinator. Every value produces identical ledgers for the same seed — asserted
-    /// block for block by `tests/sharding_determinism.rs`.
-    pub store_shards: usize,
-    /// Number of worker threads the sharded dependency-graph engine fans its per-shard
-    /// arrival and formation work out on (border node-copy inserts, per-shard formation topo
-    /// sorts, ww restoration, pruning). `0` (the default) runs the inline reference path;
-    /// the knob is inert when `store_shards == 0`. Every value produces identical ledgers
-    /// for the same seed — asserted block for block by
-    /// `tests/parallel_formation_determinism.rs`.
-    pub formation_threads: usize,
-    /// Number of worker threads the parallel commit scheduler executes delivered blocks on:
-    /// conflict-free waves of the committed order (widened by the workload's static conflict
-    /// matrix) validate and apply concurrently against the state store. `0` (the default)
-    /// commits every block through the inline serial reference. Every value produces
-    /// identical ledgers, stores and reports for the same seed — asserted over the full
-    /// S×W×E grid by `tests/scheduler_determinism.rs`.
-    pub execution_threads: usize,
-    /// Run block formation as a pipeline stage overlapping arrival processing (FabricSharp
-    /// only; the knob is inert for systems without seal/join support). When the cut trigger
-    /// fires, the pending set is sealed onto the CC's formation worker and the driver keeps
-    /// processing arrivals; the formed block is claimed when its modelled reordering delay
-    /// elapses. Back-pressure keeps at most one block in formation: a second trigger joins
-    /// the in-flight cut before sealing (the driver stalls rather than queueing
-    /// unboundedly). `false` (the default) cuts blocks inline — the phased reference. Both
-    /// settings produce bit-identical ledgers, stores and reports for the same seed —
-    /// asserted over the full grid by `tests/pipelined_formation_determinism.rs`.
-    pub pipelined_formation: bool,
     /// Persist the run's chain of record: when set, every appended block is also written to
     /// CRC-framed segment files under this directory (rotation and fsync per
     /// [`CcConfig::segment_rotate_kib`] / [`CcConfig::durable_fsync`]), a genesis store
@@ -126,10 +100,6 @@ impl SimulationConfig {
             duration_s: 15.0,
             seed: 42,
             endorser_shards: 0,
-            store_shards: 0,
-            formation_threads: 0,
-            execution_threads: 0,
-            pipelined_formation: false,
             durability_dir: None,
         }
     }
@@ -154,25 +124,9 @@ impl SimulationConfig {
     /// Same as [`SimulationConfig::new`] but with the key space partitioned across
     /// `store_shards` store/graph shards.
     pub fn sharded_store(system: SystemKind, workload: WorkloadKind, store_shards: usize) -> Self {
-        SimulationConfig {
-            store_shards,
-            ..Self::new(system, workload)
-        }
-    }
-
-    /// Same as [`SimulationConfig::sharded_store`] but with the per-shard formation and
-    /// arrival work fanned out across `formation_threads` graph workers.
-    pub fn parallel_formation(
-        system: SystemKind,
-        workload: WorkloadKind,
-        store_shards: usize,
-        formation_threads: usize,
-    ) -> Self {
-        SimulationConfig {
-            store_shards,
-            formation_threads,
-            ..Self::new(system, workload)
-        }
+        let mut config = Self::new(system, workload);
+        config.cc.store_shards = store_shards;
+        config
     }
 
     /// Same as [`SimulationConfig::sharded_store`] but committing delivered blocks through
@@ -184,21 +138,9 @@ impl SimulationConfig {
         store_shards: usize,
         execution_threads: usize,
     ) -> Self {
-        SimulationConfig {
-            store_shards,
-            execution_threads,
-            ..Self::new(system, workload)
-        }
-    }
-
-    /// Same as [`SimulationConfig::new`] but with block formation running as a pipeline
-    /// stage overlapping arrival processing (see
-    /// [`SimulationConfig::pipelined_formation`]).
-    pub fn pipelined(system: SystemKind, workload: WorkloadKind) -> Self {
-        SimulationConfig {
-            pipelined_formation: true,
-            ..Self::new(system, workload)
-        }
+        let mut config = Self::sharded_store(system, workload, store_shards);
+        config.cc.execution_threads = execution_threads;
+        config
     }
 }
 
@@ -229,24 +171,18 @@ impl Simulator {
             WorkloadGenerator::new(config.workload.clone(), config.params, config.seed);
 
         // Substrate: state store (shared with the stage backends; unsharded or key-space
-        // partitioned per the `store_shards` knob), ledger, snapshot manager, endorser,
-        // concurrency control. The same knob flows into the CC so FabricSharp's graph and
-        // indices shard alongside the store.
+        // partitioned per `cc.store_shards`), ledger, snapshot manager, endorser, concurrency
+        // control. The same config flows into the CC so FabricSharp's graph and indices shard
+        // alongside the store.
+        let cc_config = config.cc;
         let store: SharedStore = {
-            let mut s = StoreBackend::for_shards(config.store_shards);
+            let mut s = StoreBackend::for_shards(cc_config.store_shards);
             s.seed_genesis(generator.genesis());
             into_shared_backend(s)
         };
         let snapshots = SnapshotManager::new();
         snapshots.register_block(0);
         let endorser = SnapshotEndorser::new(snapshots.clone());
-        let cc_config = CcConfig {
-            store_shards: config.store_shards,
-            formation_threads: config.formation_threads,
-            execution_threads: config.execution_threads,
-            pipelined_formation: config.pipelined_formation || config.cc.pipelined_formation,
-            ..config.cc
-        };
         // Chain of record: in-memory reference, or segment files when a durability directory
         // is configured. The genesis checkpoint is written eagerly because seeded genesis
         // values live in no block — replay alone cannot recreate them on a cold start.
@@ -280,7 +216,7 @@ impl Simulator {
         // scheduler gets the workload's static widening table: statically conflict-free
         // template pairs share execution waves without key checks.
         let widening = WideningTable::from_conflicts(&analyzer.matrix().conflicts);
-        let scheduler = CommitScheduler::with_widening(config.execution_threads, widening);
+        let scheduler = CommitScheduler::with_widening(cc_config.execution_threads, widening);
         let mut endorse_stage =
             EndorseStage::new(config.endorser_shards, SharedStore::clone(&store), endorser);
         let mut commit_stage = CommitStage::new(
@@ -307,10 +243,10 @@ impl Simulator {
         let mut block_span_sum: u64 = 0;
         let mut validation_aborts: HashMap<AbortReason, u64> = HashMap::new();
         let mut submitted_at_by_txn: HashMap<TxnId, SimTime> = HashMap::new();
-        // All block-cut state (trigger counters, formation samples, the pipelined seal/join
-        // bookkeeping and the formation-stage occupancy windows) lives in one driver so both
-        // cut triggers — batch-size and cadence — share a single code path.
-        let mut cut = CutDriver::new(config.pipelined_formation && cc.pipelined_formation());
+        // All block-cut state (trigger counters, formation samples and the formation-stage
+        // occupancy windows) lives in one driver so both cut triggers — batch-size and
+        // cadence — share a single code path.
+        let mut cut = CutDriver::default();
         let mut validator_windows: Vec<(SimTime, SimTime)> = Vec::new();
         let mut validator_free_at: SimTime = 0;
         // The chain height at the driver's *logical* time. In concurrent mode the committer
@@ -456,46 +392,23 @@ impl Simulator {
                     submitted_at,
                     formed_at: _,
                 } => {
-                    Self::deliver_block(
-                        txns,
-                        submitted_at,
-                        now,
-                        &profile,
-                        lock_penalty_ms,
-                        needs_validation,
-                        &mut validator_free_at,
-                        &mut next_commit_block,
-                        &mut commit_stage,
-                        &mut validator_windows,
-                        &mut queue,
-                    );
-                }
-
-                Event::PipelinedBlockReady {
-                    formation_no,
-                    formed_at,
-                } => {
-                    let txns = cut.take_ready(&mut cc, formation_no);
-                    let submitted_at: Vec<SimTime> = txns
-                        .iter()
-                        .map(|t| submitted_at_by_txn.remove(&t.id).unwrap_or(formed_at))
-                        .collect();
-                    // Delivery runs inline: re-scheduling a same-timestamp BlockDelivered
-                    // here would give it a later insertion number than the phased mode's
-                    // (scheduled at seal time), shifting FIFO tie-breaks and with them the
-                    // whole downstream schedule.
-                    Self::deliver_block(
-                        Arc::new(txns),
-                        submitted_at,
-                        now,
-                        &profile,
-                        lock_penalty_ms,
-                        needs_validation,
-                        &mut validator_free_at,
-                        &mut next_commit_block,
-                        &mut commit_stage,
-                        &mut validator_windows,
-                        &mut queue,
+                    let start = now.max(validator_free_at);
+                    let service = profile.validation_ms(txns.len()) + lock_penalty_ms;
+                    validator_free_at = start + ms(service);
+                    validator_windows.push((start, validator_free_at));
+                    let block_no = next_commit_block;
+                    next_commit_block += 1;
+                    // Hand the block to the commit stage now (the committer thread can overlap
+                    // with the driver); its effects become visible to the driver at the
+                    // BlockValidated event.
+                    commit_stage.begin(block_no, &txns, needs_validation);
+                    queue.schedule(
+                        validator_free_at,
+                        Event::BlockValidated {
+                            block_no,
+                            txns,
+                            submitted_at,
+                        },
                     );
                 }
 
@@ -575,11 +488,7 @@ impl Simulator {
         let (mut commit_us, wave) = commit_stage.commit_metrics();
         let duration_s = (last_event_at as f64 / 1_000_000.0).max(config.duration_s);
         let committed_f = committed.max(1) as f64;
-        let occupancy = PipelineOccupancy::from_windows(
-            &cut.formation_windows,
-            &validator_windows,
-            cc.formation_stalls(),
-        );
+        let occupancy = PipelineOccupancy::from_windows(&cut.formation_windows, &validator_windows);
         let mut formation_us = cut.formation_us;
         let report = SimReport {
             system: config.system,
@@ -651,85 +560,25 @@ impl Simulator {
         refreshed.read_set = reads;
         refreshed
     }
-
-    /// Moves a cut block into the validator: assigns the next commit height, occupies the
-    /// validator for the modelled service time, hands the block to the commit stage and
-    /// schedules the `BlockValidated` event. Shared verbatim by the phased `BlockDelivered`
-    /// arm and the pipelined `PipelinedBlockReady` arm, so the two modes cannot drift.
-    #[allow(clippy::too_many_arguments)]
-    fn deliver_block(
-        txns: Arc<Vec<Transaction>>,
-        submitted_at: Vec<SimTime>,
-        now: SimTime,
-        profile: &PipelineProfile,
-        lock_penalty_ms: f64,
-        needs_validation: bool,
-        validator_free_at: &mut SimTime,
-        next_commit_block: &mut u64,
-        commit_stage: &mut CommitStage,
-        validator_windows: &mut Vec<(SimTime, SimTime)>,
-        queue: &mut EventQueue,
-    ) {
-        let start = now.max(*validator_free_at);
-        let service = profile.validation_ms(txns.len()) + lock_penalty_ms;
-        *validator_free_at = start + ms(service);
-        validator_windows.push((start, *validator_free_at));
-        let block_no = *next_commit_block;
-        *next_commit_block += 1;
-        // Hand the block to the commit stage now (the committer thread can overlap with the
-        // driver); its effects become visible to the driver at the BlockValidated event.
-        commit_stage.begin(block_no, &txns, needs_validation);
-        queue.schedule(
-            *validator_free_at,
-            Event::BlockValidated {
-                block_no,
-                txns,
-                submitted_at,
-            },
-        );
-    }
 }
 
-/// Driver-side owner of the block-cut path: the trigger counters, the measured formation
-/// samples, the formation-stage occupancy windows and — in pipelined mode — the seal/join
-/// bookkeeping. Both cut triggers (batch size and cadence timeout) funnel through
-/// [`CutDriver::trigger`], the single place a block leaves the pending set.
+/// Driver-side owner of the block-cut path: the trigger counter, the measured formation
+/// samples and the formation-stage occupancy windows. Both cut triggers (batch size and
+/// cadence timeout) funnel through [`CutDriver::trigger`], the single place a block leaves
+/// the pending set.
+#[derive(Default)]
 struct CutDriver {
-    /// Run block formation as an overlapped pipeline stage (seal/join) instead of inline.
-    pipelined: bool,
-    /// Blocks cut so far (pipelined: sealed so far) — the cadence trigger's staleness guard.
+    /// Blocks cut so far — the cadence trigger's staleness guard.
     blocks_formed: u64,
     /// Measured wall-clock per formed block, in µs (one sample per non-empty block).
     formation_us: Vec<u64>,
-    /// `(seal, delivery-ready)` simulated windows of the formation stage, for occupancy.
+    /// `(cut, delivery)` simulated windows of the formation stage, for occupancy.
     formation_windows: Vec<(SimTime, SimTime)>,
-    /// Pipelined: seal-order number of the formation currently on the CC's worker.
-    inflight: Option<u64>,
-    /// Pipelined: blocks force-joined by back-pressure before their ready event fired,
-    /// keyed by seal-order number until the event claims them.
-    finished_early: HashMap<u64, Vec<Transaction>>,
-    /// Pipelined: seal-order number the next `begin_cut` takes.
-    next_formation_no: u64,
 }
 
 impl CutDriver {
-    fn new(pipelined: bool) -> Self {
-        CutDriver {
-            pipelined,
-            blocks_formed: 0,
-            formation_us: Vec::new(),
-            formation_windows: Vec::new(),
-            inflight: None,
-            finished_early: HashMap::new(),
-            next_formation_no: 0,
-        }
-    }
-
-    /// Fires the block-cut condition. Phased mode cuts inline and schedules the delivery
-    /// after the modelled reordering delay. Pipelined mode seals the pending set onto the
-    /// CC's formation worker and schedules `PipelinedBlockReady` at the *same* timestamp —
-    /// back-pressure first joins any formation still in flight (at most one block forms at a
-    /// time; the driver stalls rather than queueing seals unboundedly).
+    /// Fires the block-cut condition: cuts inline and schedules the delivery after the
+    /// modelled reordering delay.
     fn trigger(
         &mut self,
         cc: &mut Box<dyn ConcurrencyControl>,
@@ -740,31 +589,6 @@ impl CutDriver {
         now: SimTime,
     ) {
         if cc.pending_len() == 0 {
-            return;
-        }
-        if self.pipelined {
-            if let Some(no) = self.inflight.take() {
-                let (txns, us) = cc.finish_cut();
-                self.formation_us.push(us);
-                self.finished_early.insert(no, txns);
-            }
-            let sealed = cc.begin_cut();
-            if sealed == 0 {
-                return;
-            }
-            self.blocks_formed += 1;
-            let formation_no = self.next_formation_no;
-            self.next_formation_no += 1;
-            self.inflight = Some(formation_no);
-            let ready_at = now + ms(profile.reorder_ms(system, sealed) + 2.0);
-            self.formation_windows.push((now, ready_at));
-            queue.schedule(
-                ready_at,
-                Event::PipelinedBlockReady {
-                    formation_no,
-                    formed_at: now,
-                },
-            );
             return;
         }
         let formation_started = std::time::Instant::now();
@@ -793,28 +617,6 @@ impl CutDriver {
                 formed_at: now,
             },
         );
-    }
-
-    /// Claims formation `formation_no` when its ready event fires: either the block was
-    /// already force-joined by back-pressure, or it is the one still in flight and the
-    /// driver joins it now.
-    fn take_ready(
-        &mut self,
-        cc: &mut Box<dyn ConcurrencyControl>,
-        formation_no: u64,
-    ) -> Vec<Transaction> {
-        if let Some(txns) = self.finished_early.remove(&formation_no) {
-            return txns;
-        }
-        debug_assert_eq!(
-            self.inflight,
-            Some(formation_no),
-            "ready events fire in seal order"
-        );
-        self.inflight = None;
-        let (txns, us) = cc.finish_cut();
-        self.formation_us.push(us);
-        txns
     }
 }
 
@@ -898,18 +700,16 @@ mod tests {
         assert_eq!(inline_ledger.tip_hash(), sharded_ledger.tip_hash());
     }
 
+    /// `cc` is the only home of the engine knobs: a caller's `cc.store_shards` must reach the
+    /// state store the run builds.
     #[test]
-    fn pipelined_formation_matches_the_phased_reference() {
+    fn cc_store_shards_select_the_store_backend() {
         let mut config = quick_config(SystemKind::FabricSharp);
-        config.duration_s = 2.0;
-        let (phased_report, phased_ledger) = Simulator::run_with_ledger(&config);
-        config.pipelined_formation = true;
-        let (pipelined_report, pipelined_ledger) = Simulator::run_with_ledger(&config);
-        assert_eq!(phased_report.offered, pipelined_report.offered);
-        assert_eq!(phased_report.committed, pipelined_report.committed);
-        assert_eq!(phased_report.in_ledger, pipelined_report.in_ledger);
-        assert_eq!(phased_report.blocks, pipelined_report.blocks);
-        assert_eq!(phased_ledger.tip_hash(), pipelined_ledger.tip_hash());
+        config.duration_s = 1.0;
+        config.cc.store_shards = 4;
+        let (_, ledger, store) = Simulator::run_full(&config);
+        assert_eq!(store.shard_count(), 4);
+        assert!(ledger.height() > 0);
     }
 
     #[test]
@@ -918,37 +718,30 @@ mod tests {
         // pins that the *trigger reason* is invisible to the cut itself. A no-op workload at
         // exactly 100 tps arrives on a fixed 10 ms cadence (constant endorsement cost, no
         // conflicts), so a 10-txn count trigger and a 95 ms cadence trigger partition the
-        // arrival stream into the very same blocks — the ledgers must be bit-identical, in
-        // both the phased and the pipelined formation modes.
-        for pipelined in [false, true] {
-            let mut count_cfg = SimulationConfig::new(SystemKind::FabricSharp, WorkloadKind::NoOp);
-            count_cfg.duration_s = 1.0;
-            count_cfg.params.request_rate_tps = 100;
-            count_cfg.block.max_txns_per_block = 10;
-            count_cfg.block.block_timeout_ms = 60_000;
-            count_cfg.pipelined_formation = pipelined;
+        // arrival stream into the very same blocks — the ledgers must be bit-identical.
+        let mut count_cfg = SimulationConfig::new(SystemKind::FabricSharp, WorkloadKind::NoOp);
+        count_cfg.duration_s = 1.0;
+        count_cfg.params.request_rate_tps = 100;
+        count_cfg.block.max_txns_per_block = 10;
+        count_cfg.block.block_timeout_ms = 60_000;
 
-            let mut cadence_cfg = count_cfg.clone();
-            cadence_cfg.block.max_txns_per_block = 10_000;
-            cadence_cfg.block.block_timeout_ms = 95;
+        let mut cadence_cfg = count_cfg.clone();
+        cadence_cfg.block.max_txns_per_block = 10_000;
+        cadence_cfg.block.block_timeout_ms = 95;
 
-            let (count_report, count_ledger) = Simulator::run_with_ledger(&count_cfg);
-            let (cadence_report, cadence_ledger) = Simulator::run_with_ledger(&cadence_cfg);
-            assert!(count_report.blocks > 1, "pipelined={pipelined}: blocks cut");
-            assert_eq!(
-                count_report.blocks, cadence_report.blocks,
-                "pipelined={pipelined}: block count"
-            );
-            assert_eq!(
-                count_report.in_ledger, cadence_report.in_ledger,
-                "pipelined={pipelined}: committed-to-ledger count"
-            );
-            assert_eq!(
-                count_ledger.tip_hash(),
-                cadence_ledger.tip_hash(),
-                "pipelined={pipelined}: cadence- and count-triggered cuts must agree"
-            );
-        }
+        let (count_report, count_ledger) = Simulator::run_with_ledger(&count_cfg);
+        let (cadence_report, cadence_ledger) = Simulator::run_with_ledger(&cadence_cfg);
+        assert!(count_report.blocks > 1, "blocks cut");
+        assert_eq!(count_report.blocks, cadence_report.blocks, "block count");
+        assert_eq!(
+            count_report.in_ledger, cadence_report.in_ledger,
+            "committed-to-ledger count"
+        );
+        assert_eq!(
+            count_ledger.tip_hash(),
+            cadence_ledger.tip_hash(),
+            "cadence- and count-triggered cuts must agree"
+        );
     }
 
     #[test]

@@ -71,6 +71,21 @@ impl StoreBackend {
             StoreBackend::Sharded(s) => s.pruned_below(),
         }
     }
+
+    /// Every `(key, full version chain)` pair in key order, whichever backend holds it — the
+    /// shard-layout-independent view of the store's contents.
+    pub fn histories(&self) -> Vec<(&Key, &[VersionedValue])> {
+        match self {
+            StoreBackend::Unsharded(s) => s.iter_history().collect(),
+            StoreBackend::Sharded(s) => {
+                let mut all: Vec<(&Key, &[VersionedValue])> = (0..s.shard_count())
+                    .flat_map(|i| s.shard(i).iter_history())
+                    .collect();
+                all.sort_by(|a, b| a.0.cmp(b.0));
+                all
+            }
+        }
+    }
 }
 
 impl StateRead for StoreBackend {

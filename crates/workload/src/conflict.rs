@@ -1,11 +1,16 @@
-//! Key-granular static conflict analysis: instance-level safe classification.
+//! Key-granular static conflict analysis: template- and instance-level safe classification.
 //!
-//! [`crate::templates`] classifies at **family** granularity — a template is Safe only when
-//! no template in the mix writes any key-space *prefix* it touches. That is maximally coarse:
-//! one writer poisons a whole family, so YCSB-B (95% reads) gets zero fast-path benefit even
-//! though almost every one of its transactions provably conflicts with nothing. This module
-//! refines the model to **key expressions over template parameters**, following Vandevoort et
-//! al.'s template-robustness framework with functional constraints ("Robustness against Read
+//! Vandevoort et al. ("Robustness against Read Committed for Transaction Templates", VLDB'21)
+//! show that serializability violations can be ruled out *statically*, by conflict-graph
+//! reasoning over transaction **templates** — the read/write key-set shapes a workload draws
+//! from — rather than over individual transactions. Applied to FabricSharp's orderer-side
+//! reordering, a transaction classified [`TemplateClass::Safe`] can never sit on a dependency
+//! cycle, so the orderer skips graph insertion and cycle probing for it
+//! (`CcConfig::template_fastpath`). Abstracting templates to whole key families would be
+//! maximally coarse: one writer poisons a whole family, so YCSB-B (95% reads) would get zero
+//! fast-path benefit even though almost every one of its transactions provably conflicts with
+//! nothing. This module models footprints as **key expressions over template parameters**,
+//! following the framework's extension with functional constraints ("Robustness against Read
 //! Committed for Transaction Templates with Functional Constraints"):
 //!
 //! * Every template's footprint is a set of [`KeyExpr`]s — `family:{p}` where `p` is a
@@ -21,14 +26,17 @@
 //! Two expressions *may unify* — admit a common concrete key under some instantiation — iff
 //! they name the same family, their domains overlap, and they are not both fresh (fresh keys
 //! are globally unique per instance). The [`ConflictAnalyzer`] computes a static
-//! template×template [`ConflictMatrix`] from pairwise unification and then goes one level
-//! further than PR 6: it classifies **instances**.
+//! template×template [`ConflictMatrix`] from pairwise unification and classifies both
+//! templates and **instances**.
 //!
-//! # Instance classification rule
+//! # Classification rules
 //!
-//! A concrete arrival (a bound [`TxnTemplate`]) is [`TemplateClass::Safe`] iff
+//! Template `i` in mix `M` is **Safe** iff no write expression in `M` (including `i`'s own)
+//! unifies with any of its reads, and `i` writes nothing or writes only fresh expressions no
+//! *other* template's expression unifies with. A concrete arrival (a bound [`TxnTemplate`])
+//! is [`TemplateClass::Safe`] iff
 //!
-//! 1. its template is Safe (the PR 6 family rule, unchanged), **or**
+//! 1. its template is Safe, **or**
 //! 2. the instance performs **no writes** and every concrete key it reads lies **outside the
 //!    domain of every write expression in the mix**.
 //!
@@ -36,18 +44,23 @@
 //!
 //! # Safety argument
 //!
-//! Rule 2 is the key-granular analogue of the family rule's read clause. Every edge kind the
-//! orderer tracks (wr, ww, rw anti-dependencies and their committed/near variants) requires a
-//! key shared between the instance's read or write set and another transaction's write or
-//! read set. A rule-2 instance `t` writes nothing, so no edge can touch `t`'s (empty) write
-//! set; and no possible instance of any template in the mix can ever write a key `t` reads —
-//! the generator only materialises keys inside the declared write domains, which `t`'s read
-//! keys provably miss. Hence no wr edge into `t` and no rw/anti-rw edge out of `t` can exist,
-//! `t` can never lie on a dependency cycle, and removing it from the graph
-//! (`CcConfig::template_fastpath`) is invisible to every other transaction's verdict while
-//! its own verdict is always "acyclic". The splice position
-//! (`DependencyGraph::merge_safe_into_order`) is exact for the same reason: an edge-free node
-//! is ready at Kahn step 0.
+//! A dependency cycle through an instance `t` needs at least one edge *into* `t` and one
+//! *out of* `t`. Every edge kind the orderer tracks (wr, ww, rw anti-dependencies and their
+//! committed/near variants) requires a key shared between `t`'s read or write set and another
+//! transaction's write or read set. The template rule kills every edge incident to `t`'s
+//! reads (no possible write reaches them) and to `t`'s writes (there are none, or they are
+//! fresh keys no concurrent instance reads or writes). Rule 2 is the instance-granular
+//! analogue of the read clause: a rule-2 instance writes nothing, and no possible instance of
+//! any template in the mix can ever write a key `t` reads — the generator only materialises
+//! keys inside the declared write domains, which `t`'s read keys provably miss. Either way no
+//! in-edge or no out-edge can exist, `t` can never lie on a dependency cycle, and removing it
+//! from the graph is invisible to every other transaction's verdict while its own verdict is
+//! always "acyclic". The splice position (`FabricSharpCC::cut_block`'s merge of fast-path
+//! transactions by acceptance order) is exact for the same reason: an edge-free node is ready
+//! at Kahn step 0. The rule is deliberately conservative: a read-only template is *not* Safe
+//! when a writer may reach its keys (a pending writer with a stale snapshot can pick up a
+//! near-wr predecessor plus an anti-rw successor through such a reader, closing a cycle
+//! through it).
 //!
 //! The payoff: with YCSB-B's writes confined to a tail partition
 //! ([`YcsbProfile::with_write_partition`]), the Zipfian-favoured head is provably write-free
@@ -367,9 +380,8 @@ impl ConflictAnalyzer {
         &self.mix
     }
 
-    /// Template-level class of a generated template (expression-granular analogue of
-    /// [`templates::TemplateClassifier::classify_template`]; agrees with it on every shipped
-    /// catalog). Templates outside the mix are conservatively [`TemplateClass::Unknown`].
+    /// Template-level class of a generated template (module-level template rule). Templates
+    /// outside the mix are conservatively [`TemplateClass::Unknown`].
     pub fn classify_template(&self, template: &TxnTemplate) -> TemplateClass {
         let name = templates::template_spec_name(template);
         self.mix
@@ -450,10 +462,9 @@ impl ConflictAnalyzer {
     }
 }
 
-/// Template-level classification over symbolic footprints — the expression-granular analogue
-/// of [`templates::classify`]: template `i` is Safe iff no write expression in the mix
-/// unifies with any of its reads, and it writes nothing (or only fresh expressions no other
-/// template's expression unifies with).
+/// Template-level classification over symbolic footprints: template `i` is Safe iff no write
+/// expression in the mix unifies with any of its reads, and it writes nothing (or only fresh
+/// expressions no other template's expression unifies with).
 fn classify_footprints(mix: &[TemplateFootprint]) -> Vec<TemplateClass> {
     mix.iter()
         .enumerate()
@@ -602,7 +613,6 @@ pub fn instance_accesses(template: &TxnTemplate) -> Vec<InstanceAccess> {
 mod tests {
     use super::*;
     use crate::generator::WorkloadGenerator;
-    use crate::templates::TemplateClassifier;
     use crate::ycsb::{YcsbOp, YcsbProfile};
     use TemplateClass::{Safe, Unknown};
 
@@ -661,24 +671,113 @@ mod tests {
         assert!(may_unify(&fresh_a, &blind));
     }
 
-    /// The expression-granular template verdicts agree with the family-granular
-    /// [`TemplateClassifier`] on every shipped catalog — key granularity refines, it never
-    /// contradicts.
+    /// The family-granular view of a mix: every parameter domain widened to its whole key
+    /// family, freshness kept — the coarse family classifier the key-granular analysis
+    /// refines.
+    fn family_granular(mix: &[TemplateFootprint]) -> Vec<TemplateFootprint> {
+        let widen = |exprs: &[KeyExpr]| -> Vec<KeyExpr> {
+            exprs
+                .iter()
+                .map(|e| KeyExpr {
+                    domain: ParamDomain::unbounded_from(0),
+                    ..*e
+                })
+                .collect()
+        };
+        mix.iter()
+            .map(|fp| TemplateFootprint {
+                name: fp.name,
+                reads: widen(&fp.reads),
+                writes: widen(&fp.writes),
+            })
+            .collect()
+    }
+
+    /// At template level the key-granular analysis agrees with the family classifier on every
+    /// shipped mix: its gains come from the instance rule, never from a looser template verdict.
     #[test]
     fn template_verdicts_agree_with_family_classifier() {
         for kind in all_kinds() {
             let analyzer = ConflictAnalyzer::new(&kind, &params(400));
-            let family = TemplateClassifier::new(&kind);
+            let family_mix = family_granular(analyzer.footprints());
+            let family_classes = classify_footprints(&family_mix);
             let mut generator = WorkloadGenerator::new(kind.clone(), params(400), 17);
             for _ in 0..60 {
                 let template = generator.next_template();
+                let name = templates::template_spec_name(&template);
+                let family = family_mix
+                    .iter()
+                    .position(|fp| fp.name == name)
+                    .map_or(Unknown, |i| family_classes[i]);
                 assert_eq!(
                     analyzer.classify_template(&template),
-                    family.classify_template(&template),
+                    family,
                     "{kind:?}: template verdict diverged for {template:?}"
                 );
             }
         }
+    }
+
+    fn footprint(name: &'static str, reads: &[KeyExpr], writes: &[KeyExpr]) -> TemplateFootprint {
+        TemplateFootprint {
+            name,
+            reads: reads.to_vec(),
+            writes: writes.to_vec(),
+        }
+    }
+
+    #[test]
+    fn fresh_writer_demotes_when_anyone_touches_its_families() {
+        let fresh = ParamDomain::unbounded_from(100);
+        let create = footprint(
+            "create",
+            &[],
+            &[
+                KeyExpr::fresh(FAMILY_CHECKING, fresh, 0),
+                KeyExpr::fresh(FAMILY_SAVINGS, fresh, 0),
+            ],
+        );
+        assert_eq!(
+            classify_footprints(std::slice::from_ref(&create)),
+            vec![Safe]
+        );
+
+        // A reader of the fresh keys demotes the fresh writer — and the reader itself.
+        let query = footprint("query", &[KeyExpr::over(FAMILY_CHECKING, fresh, 0)], &[]);
+        assert_eq!(
+            classify_footprints(&[create.clone(), query]),
+            vec![Unknown, Unknown]
+        );
+
+        // Losing the freshness guarantee demotes it even alone.
+        let mut blind = create;
+        blind.writes[0].fresh = false;
+        assert_eq!(classify_footprints(&[blind]), vec![Unknown]);
+    }
+
+    #[test]
+    fn read_only_is_safe_only_without_writers_on_its_families() {
+        let rows = ParamDomain::bounded(0, 100);
+        let reader = footprint("reader", &[KeyExpr::over(FAMILY_USERTABLE, rows, 0)], &[]);
+        assert_eq!(
+            classify_footprints(std::slice::from_ref(&reader)),
+            vec![Safe]
+        );
+
+        let writer = footprint("writer", &[], &[KeyExpr::over(FAMILY_USERTABLE, rows, 0)]);
+        assert_eq!(
+            classify_footprints(&[reader.clone(), writer]),
+            vec![Unknown, Unknown]
+        );
+
+        // A writer on a disjoint family leaves the reader safe.
+        let kv = KeyExpr::over(FAMILY_KV, rows, 0);
+        let other = footprint(
+            "other",
+            std::slice::from_ref(&kv),
+            std::slice::from_ref(&kv),
+        );
+        assert_eq!(classify_footprints(&[reader, other]), vec![Safe, Unknown]);
     }
 
     /// Instance classification refines the template verdict monotonically: template-Safe

@@ -118,14 +118,9 @@ impl WorkloadGenerator {
         &self.params
     }
 
-    /// The template-robustness classifier for this workload's mix (see [`crate::templates`]).
-    pub fn classifier(&self) -> crate::templates::TemplateClassifier {
-        crate::templates::TemplateClassifier::new(&self.kind)
-    }
-
     /// The key-granular conflict analyzer for this workload's mix (see [`crate::conflict`]):
-    /// refines [`WorkloadGenerator::classifier`] from template-level to instance-level safe
-    /// classification, over domains derived from these exact generator parameters.
+    /// template- and instance-level safe classification, over domains derived from these
+    /// exact generator parameters.
     pub fn analyzer(&self) -> crate::conflict::ConflictAnalyzer {
         crate::conflict::ConflictAnalyzer::new(&self.kind, &self.params)
     }

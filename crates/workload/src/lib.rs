@@ -11,13 +11,14 @@
 //! * [`generator`] — workload generators parameterised exactly like Table 2 (hot ratios,
 //!   client delay, read interval, request rate) and Section 5.4 (Create-Account and mixed
 //!   workloads with Zipfian skew).
-//! * [`templates`] — Vandevoort-style template-robustness analysis: classifies each
-//!   template in a workload's mix as safe (provably cycle-free) or unknown, feeding the
-//!   orderer's `template_fastpath` knob.
-//! * [`conflict`] — the key-granular refinement of [`templates`]: symbolic per-template
-//!   key-expression footprints with functional constraints, a static template×template
-//!   conflict matrix, and **instance-level** safe classification (rescuing e.g. YCSB-B read
-//!   transactions whose sampled keys provably miss the write partition).
+//! * [`templates`] — the key families and stable template names the static analysis works
+//!   over.
+//! * [`conflict`] — Vandevoort-style template-robustness analysis at key granularity:
+//!   symbolic per-template key-expression footprints with functional constraints, a static
+//!   template×template conflict matrix, and template- and **instance-level** safe
+//!   classification (provably cycle-free transactions feed the orderer's
+//!   `template_fastpath` knob; e.g. YCSB-B read transactions whose sampled keys provably
+//!   miss the write partition are rescued).
 
 #![forbid(unsafe_code)]
 
@@ -33,6 +34,5 @@ pub use conflict::{ConflictAnalyzer, ConflictMatrix, KeyExpr, ParamDomain, Templ
 pub use contracts::{KvUpdateContract, NoOpContract, SmartContract};
 pub use generator::{TxnTemplate, WorkloadGenerator, WorkloadKind};
 pub use smallbank::{SmallbankContract, SmallbankOp};
-pub use templates::{TemplateClassifier, TemplateSpec};
 pub use ycsb::{YcsbOp, YcsbProfile, YcsbTxn};
 pub use zipf::Zipfian;

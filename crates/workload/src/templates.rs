@@ -1,52 +1,11 @@
-//! Template-robustness static analysis.
+//! Key families and stable template names shared by the static conflict analysis.
 //!
-//! Vandevoort et al. ("Robustness against Read Committed for Transaction Templates", VLDB'21)
-//! show that serializability violations under weak protocols can be ruled out *statically*,
-//! by conflict-graph reasoning over transaction **templates** — the read/write key-set shapes
-//! a workload draws from — rather than over individual transactions. This module applies the
-//! same idea to FabricSharp's orderer-side reordering: a template is classified
-//! [`TemplateClass::Safe`] when no instance of it can ever sit on a dependency cycle given the
-//! whole template mix, which lets the orderer skip graph insertion and cycle probing for those
-//! transactions entirely (`CcConfig::template_fastpath`).
-//!
-//! # Classification rule
-//!
-//! Templates are abstracted to *key families* — the key-space prefixes a workload touches
-//! (`checking:`, `savings:`, `usertable:`, `kv:`). Template `i` in mix `M` is **safe** iff
-//!
-//! 1. no template in `M` (including `i` itself) writes any family `i` reads, and
-//! 2. `i` writes nothing, or every write of `i` targets *fresh* keys (brand-new, globally
-//!    unique per instance, e.g. Create-Account's monotone account ids) in families no *other*
-//!    template in `M` reads or writes.
-//!
-//! Everything else is [`TemplateClass::Unknown`] and takes the fully tracked path.
-//!
-//! # Safety argument
-//!
-//! A dependency cycle through an instance `t` needs at least one edge *into* `t` and one
-//! *out of* `t`. Every edge kind the orderer tracks (wr, ww, rw anti-dependencies, and their
-//! committed/near variants) requires a key shared between `t`'s read or write set and the
-//! other transaction's write or read set:
-//!
-//! * Rule 1 kills every edge incident to `t`'s reads: nobody writes those families, so no
-//!   wr edge into `t` and no rw/anti-rw edge out of `t` can exist.
-//! * Rule 2 kills every edge incident to `t`'s writes: either there are none, or the written
-//!   keys are fresh — no earlier transaction wrote them (no ww into `t`) and no concurrent
-//!   template instance reads or writes them (no wr/ww out of `t`, no rw into `t`; two
-//!   instances of `i` write disjoint fresh keys by construction).
-//!
-//! With no in-edge or no out-edge possible, `t` cannot lie on any cycle — so dropping it from
-//! the dependency graph cannot change any other transaction's cycle verdict, and its own
-//! verdict is always "acyclic". The rule is deliberately conservative: read-only templates are
-//! *not* safe when any template in the mix writes their families (a pending writer with a
-//! stale snapshot can pick up a near-wr predecessor plus an anti-rw successor through such a
-//! reader, closing a cycle through it), which is why YCSB-B's 95%-read traffic still takes
-//! the slow path while YCSB-C qualifies wholesale.
+//! Templates are abstracted to the *key families* they touch — the key-space prefixes a
+//! workload reads and writes (`checking:`, `savings:`, `usertable:`, `kv:`) — and every
+//! generated [`TxnTemplate`] maps to one stable template name. [`crate::conflict`] builds its
+//! symbolic footprints and its safe classification on both.
 
-use crate::generator::{TxnTemplate, WorkloadKind};
-use crate::ycsb::YcsbProfile;
-use eov_common::txn::TemplateClass;
-use std::collections::HashMap;
+use crate::generator::TxnTemplate;
 
 /// A key family: the key-space prefix a template's operations target.
 pub type KeyFamily = &'static str;
@@ -60,140 +19,8 @@ pub const FAMILY_SAVINGS: KeyFamily = "savings";
 /// The `usertable:` family (YCSB records).
 pub const FAMILY_USERTABLE: KeyFamily = "usertable";
 
-/// The read/write key-set shape of one transaction template.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TemplateSpec {
-    /// Stable template name (used to map generated templates back to their spec).
-    pub name: &'static str,
-    /// Families the template reads.
-    pub reads: Vec<KeyFamily>,
-    /// Families the template writes.
-    pub writes: Vec<KeyFamily>,
-    /// Whether every written key is brand-new and globally unique per instance (the
-    /// Create-Account pattern). Only fresh writers can be safe despite writing.
-    pub fresh_writes: bool,
-}
-
-impl TemplateSpec {
-    /// A template that only reads.
-    pub fn read_only(name: &'static str, reads: impl Into<Vec<KeyFamily>>) -> Self {
-        TemplateSpec {
-            name,
-            reads: reads.into(),
-            writes: Vec::new(),
-            fresh_writes: false,
-        }
-    }
-
-    /// A template that reads and writes existing keys.
-    pub fn read_write(
-        name: &'static str,
-        reads: impl Into<Vec<KeyFamily>>,
-        writes: impl Into<Vec<KeyFamily>>,
-    ) -> Self {
-        TemplateSpec {
-            name,
-            reads: reads.into(),
-            writes: writes.into(),
-            fresh_writes: false,
-        }
-    }
-
-    /// A write-only template whose keys are fresh per instance.
-    pub fn fresh_writer(name: &'static str, writes: impl Into<Vec<KeyFamily>>) -> Self {
-        TemplateSpec {
-            name,
-            reads: Vec::new(),
-            writes: writes.into(),
-            fresh_writes: true,
-        }
-    }
-}
-
-/// Classifies every template in `mix` per the module-level rule. The verdicts are
-/// mix-relative: the same template can be safe in one mix and unknown in another.
-pub fn classify(mix: &[TemplateSpec]) -> Vec<TemplateClass> {
-    mix.iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            let reads_clean = spec
-                .reads
-                .iter()
-                .all(|family| mix.iter().all(|other| !other.writes.contains(family)));
-            let writes_clean = spec.writes.is_empty()
-                || (spec.fresh_writes
-                    && spec.writes.iter().all(|family| {
-                        mix.iter().enumerate().all(|(j, other)| {
-                            j == i
-                                || (!other.reads.contains(family) && !other.writes.contains(family))
-                        })
-                    }));
-            if reads_clean && writes_clean {
-                TemplateClass::Safe
-            } else {
-                TemplateClass::Unknown
-            }
-        })
-        .collect()
-}
-
-/// The template mix a [`WorkloadKind`] draws from, as key-family shapes.
-pub fn catalog(kind: &WorkloadKind) -> Vec<TemplateSpec> {
-    match kind {
-        WorkloadKind::NoOp => vec![TemplateSpec::read_only("noop", [])],
-        WorkloadKind::KvUpdate { .. } => vec![TemplateSpec::read_write(
-            "kv-update",
-            [FAMILY_KV],
-            [FAMILY_KV],
-        )],
-        WorkloadKind::ModifiedSmallbank => vec![TemplateSpec::read_write(
-            "modified-rw",
-            [FAMILY_CHECKING],
-            [FAMILY_CHECKING],
-        )],
-        WorkloadKind::MixedSmallbank { .. } => vec![
-            TemplateSpec::read_only("query-account", [FAMILY_CHECKING, FAMILY_SAVINGS]),
-            TemplateSpec::read_write("deposit-checking", [FAMILY_CHECKING], [FAMILY_CHECKING]),
-            TemplateSpec::read_write("write-check", [FAMILY_CHECKING], [FAMILY_CHECKING]),
-            TemplateSpec::read_write("transact-savings", [FAMILY_SAVINGS], [FAMILY_SAVINGS]),
-            TemplateSpec::read_write("send-payment", [FAMILY_CHECKING], [FAMILY_CHECKING]),
-            TemplateSpec::read_write(
-                "amalgamate",
-                [FAMILY_CHECKING, FAMILY_SAVINGS],
-                [FAMILY_CHECKING, FAMILY_SAVINGS],
-            ),
-        ],
-        WorkloadKind::CreateAccount => vec![TemplateSpec::fresh_writer(
-            "create-account",
-            [FAMILY_CHECKING, FAMILY_SAVINGS],
-        )],
-        WorkloadKind::Ycsb(profile) => vec![ycsb_spec(profile)],
-    }
-}
-
-/// The composite YCSB template: one shape covering the whole op mix of a profile (each
-/// transaction may combine reads, updates and RMWs, so the template reads `usertable:` when
-/// any op kind reads and writes it when any op kind writes).
-fn ycsb_spec(profile: &YcsbProfile) -> TemplateSpec {
-    let reads = profile.read_fraction > 0.0 || profile.rmw_fraction() > 0.0;
-    let writes = profile.update_fraction > 0.0 || profile.rmw_fraction() > 0.0;
-    TemplateSpec {
-        name: "ycsb",
-        reads: if reads {
-            vec![FAMILY_USERTABLE]
-        } else {
-            vec![]
-        },
-        writes: if writes {
-            vec![FAMILY_USERTABLE]
-        } else {
-            vec![]
-        },
-        fresh_writes: false,
-    }
-}
-
-/// The stable spec name of a generated template (see [`catalog`]).
+/// The stable template name of a generated template — the name its footprint carries in
+/// [`crate::conflict::symbolic_catalog`].
 pub fn template_spec_name(template: &TxnTemplate) -> &'static str {
     use crate::smallbank::SmallbankOp;
     match template {
@@ -213,58 +40,39 @@ pub fn template_spec_name(template: &TxnTemplate) -> &'static str {
     }
 }
 
-/// Precomputed per-workload classifier: maps each generated template to its class in the
-/// workload's mix. Templates outside the catalog fall back to [`TemplateClass::Unknown`].
-#[derive(Clone, Debug)]
-pub struct TemplateClassifier {
-    classes: HashMap<&'static str, TemplateClass>,
-}
-
-impl TemplateClassifier {
-    /// Builds the classifier for a workload kind by classifying its whole catalog.
-    pub fn new(kind: &WorkloadKind) -> Self {
-        let mix = catalog(kind);
-        let classes = classify(&mix);
-        TemplateClassifier {
-            classes: mix
-                .iter()
-                .zip(classes)
-                .map(|(spec, class)| (spec.name, class))
-                .collect(),
-        }
-    }
-
-    /// The class of one generated template.
-    pub fn classify_template(&self, template: &TxnTemplate) -> TemplateClass {
-        self.classes
-            .get(template_spec_name(template))
-            .copied()
-            .unwrap_or(TemplateClass::Unknown)
-    }
-
-    /// Whether any template in the workload's mix is safe (lets callers skip per-transaction
-    /// work when the whole mix is unknown).
-    pub fn any_safe(&self) -> bool {
-        self.classes.values().any(TemplateClass::is_safe)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::conflict::ConflictAnalyzer;
+    use crate::generator::{TxnTemplate, WorkloadKind};
     use crate::smallbank::SmallbankOp;
+    use crate::ycsb::{YcsbProfile, YcsbTxn};
+    use eov_common::config::WorkloadParams;
+    use eov_common::txn::TemplateClass::{self, Safe, Unknown};
 
-    fn classes_of(kind: &WorkloadKind) -> Vec<(&'static str, TemplateClass)> {
-        let mix = catalog(kind);
-        let classes = classify(&mix);
-        mix.iter().map(|s| s.name).zip(classes).collect()
+    fn analyzer(kind: &WorkloadKind) -> ConflictAnalyzer {
+        let params = WorkloadParams {
+            num_accounts: 400,
+            ..WorkloadParams::default()
+        };
+        ConflictAnalyzer::new(kind, &params)
     }
 
-    /// The pinned Smallbank / YCSB classification table: these verdicts are part of the
+    fn classes_of(kind: &WorkloadKind) -> Vec<(&'static str, TemplateClass)> {
+        let analyzer = analyzer(kind);
+        let matrix = analyzer.matrix();
+        matrix
+            .templates
+            .iter()
+            .copied()
+            .zip(matrix.classes.iter().copied())
+            .collect()
+    }
+
+    /// The pinned per-mix template verdicts: every mix × template verdict is part of the
     /// fast path's correctness contract and must not drift silently.
     #[test]
     fn classification_table_is_pinned() {
-        use TemplateClass::{Safe, Unknown};
+        let ycsb = |profile| classes_of(&WorkloadKind::Ycsb(profile));
         assert_eq!(classes_of(&WorkloadKind::NoOp), vec![("noop", Safe)]);
         assert_eq!(
             classes_of(&WorkloadKind::KvUpdate { theta: 0.5 }),
@@ -291,201 +99,31 @@ mod tests {
                 ("amalgamate", Unknown),
             ]
         );
-        // YCSB: only the pure-read C mix qualifies.
+        // YCSB: only the pure-read C mix qualifies at template level; the write partition
+        // rescues B instances, not the B template.
+        assert_eq!(ycsb(YcsbProfile::a()), vec![("ycsb", Unknown)]);
+        assert_eq!(ycsb(YcsbProfile::b()), vec![("ycsb", Unknown)]);
         assert_eq!(
-            classes_of(&WorkloadKind::Ycsb(YcsbProfile::a())),
+            ycsb(YcsbProfile::b().with_write_partition(0.125)),
             vec![("ycsb", Unknown)]
         );
-        assert_eq!(
-            classes_of(&WorkloadKind::Ycsb(YcsbProfile::b())),
-            vec![("ycsb", Unknown)]
-        );
-        assert_eq!(
-            classes_of(&WorkloadKind::Ycsb(YcsbProfile::f())),
-            vec![("ycsb", Unknown)]
-        );
-        assert_eq!(
-            classes_of(&WorkloadKind::Ycsb(YcsbProfile::c())),
-            vec![("ycsb", Safe)]
-        );
+        assert_eq!(ycsb(YcsbProfile::f()), vec![("ycsb", Unknown)]);
+        assert_eq!(ycsb(YcsbProfile::c()), vec![("ycsb", Safe)]);
     }
 
+    /// Generated templates are tagged through their stable names; templates outside the mix
+    /// are conservatively unknown.
     #[test]
     fn classifier_tags_generated_templates() {
-        let classifier = TemplateClassifier::new(&WorkloadKind::Ycsb(YcsbProfile::c()));
-        assert!(classifier.any_safe());
-        let txn = TxnTemplate::Ycsb(crate::ycsb::YcsbTxn { ops: vec![] });
-        assert_eq!(classifier.classify_template(&txn), TemplateClass::Safe);
-        // Templates outside the catalog are conservatively unknown.
-        assert_eq!(
-            classifier.classify_template(&TxnTemplate::NoOp),
-            TemplateClass::Unknown
-        );
+        let c = analyzer(&WorkloadKind::Ycsb(YcsbProfile::c()));
+        assert!(c.any_safe_possible());
+        let txn = TxnTemplate::Ycsb(YcsbTxn { ops: vec![] });
+        assert_eq!(c.classify_template(&txn), Safe);
+        assert_eq!(c.classify_template(&TxnTemplate::NoOp), Unknown);
 
-        let mixed = TemplateClassifier::new(&WorkloadKind::MixedSmallbank { theta: 0.0 });
-        assert!(!mixed.any_safe());
-        assert_eq!(
-            mixed.classify_template(&TxnTemplate::Smallbank(SmallbankOp::QueryAccount {
-                account: 0
-            })),
-            TemplateClass::Unknown
-        );
-    }
-
-    #[test]
-    fn fresh_writer_demotes_when_anyone_touches_its_families() {
-        let create = TemplateSpec::fresh_writer("create", [FAMILY_CHECKING, FAMILY_SAVINGS]);
-        assert_eq!(
-            classify(std::slice::from_ref(&create)),
-            vec![TemplateClass::Safe]
-        );
-
-        // A reader of either family demotes the fresh writer — and the reader itself, since
-        // the engine conservatively counts fresh writes as writes when checking reads.
-        let query = TemplateSpec::read_only("query", [FAMILY_CHECKING]);
-        assert_eq!(
-            classify(&[create.clone(), query]),
-            vec![TemplateClass::Unknown, TemplateClass::Unknown]
-        );
-
-        // Losing the freshness guarantee demotes it even alone.
-        let mut blind = create;
-        blind.fresh_writes = false;
-        assert_eq!(classify(&[blind]), vec![TemplateClass::Unknown]);
-    }
-
-    #[test]
-    fn read_only_is_safe_only_without_writers_on_its_families() {
-        let reader = TemplateSpec::read_only("reader", [FAMILY_USERTABLE]);
-        assert_eq!(
-            classify(std::slice::from_ref(&reader)),
-            vec![TemplateClass::Safe]
-        );
-
-        let writer = TemplateSpec::read_write("writer", [], [FAMILY_USERTABLE]);
-        assert_eq!(
-            classify(&[reader.clone(), writer]),
-            vec![TemplateClass::Unknown, TemplateClass::Unknown]
-        );
-
-        // A writer on a disjoint family leaves the reader safe.
-        let other = TemplateSpec::read_write("other", [FAMILY_KV], [FAMILY_KV]);
-        assert_eq!(
-            classify(&[reader, other]),
-            vec![TemplateClass::Safe, TemplateClass::Unknown]
-        );
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    const FAMILIES: [KeyFamily; 4] = [FAMILY_KV, FAMILY_CHECKING, FAMILY_SAVINGS, FAMILY_USERTABLE];
-
-    fn family_subset() -> impl Strategy<Value = Vec<KeyFamily>> {
-        proptest::collection::vec(0usize..FAMILIES.len(), 0..3).prop_map(|idx| {
-            let mut fams: Vec<KeyFamily> = idx.into_iter().map(|i| FAMILIES[i]).collect();
-            fams.sort_unstable();
-            fams.dedup();
-            fams
-        })
-    }
-
-    fn arb_spec() -> impl Strategy<Value = TemplateSpec> {
-        (family_subset(), family_subset(), any::<bool>()).prop_map(|(reads, writes, fresh)| {
-            TemplateSpec {
-                name: "t",
-                reads,
-                writes,
-                fresh_writes: fresh,
-            }
-        })
-    }
-
-    proptest! {
-        /// Adding one read op to a safe template never *promotes* anything, and the mutated
-        /// template itself demotes whenever the new family has a writer in the mix.
-        #[test]
-        fn adding_a_conflicting_op_demotes_to_unknown(
-            mut mix in proptest::collection::vec(arb_spec(), 1..5),
-            target in 0usize..5,
-            family in 0usize..FAMILIES.len(),
-        ) {
-            let target = target % mix.len();
-            let family = FAMILIES[family];
-            let before = classify(&mix);
-            if before[target] != TemplateClass::Safe {
-                // Only mutations of *safe* templates are interesting; the strategy produces
-                // plenty of safe starting points (read-only and fresh-writer shapes).
-                continue;
-            }
-
-            // Mutation 1: the safe template gains one non-fresh write op. It must demote —
-            // a non-fresh write always admits a ww/rw conflict with a sibling instance.
-            let mut mutated = mix.clone();
-            if !mutated[target].writes.contains(&family) {
-                mutated[target].writes.push(family);
-            }
-            mutated[target].fresh_writes = false;
-            let after = classify(&mutated);
-            prop_assert_eq!(
-                after[target],
-                TemplateClass::Unknown,
-                "safe template kept its verdict after gaining write on {}", family
-            );
-
-            // Mutation 2: some other template gains a write on a family the safe template
-            // reads; the safe template must demote.
-            if let Some(&read_family) = mix[target].reads.first() {
-                let other = (target + 1) % mix.len();
-                if other != target {
-                    if !mix[other].writes.contains(&read_family) {
-                        mix[other].writes.push(read_family);
-                    }
-                    let after = classify(&mix);
-                    prop_assert_eq!(
-                        after[target],
-                        TemplateClass::Unknown,
-                        "reader stayed safe although {} gained a writer", read_family
-                    );
-                }
-            }
-        }
-
-        /// Soundness envelope: a safe verdict implies no shared family between the template's
-        /// reads and anyone's writes, and (unless fresh) an empty write set.
-        #[test]
-        fn safe_verdicts_are_structurally_sound(
-            mix in proptest::collection::vec(arb_spec(), 1..6),
-        ) {
-            let classes = classify(&mix);
-            for (i, class) in classes.iter().enumerate() {
-                if *class != TemplateClass::Safe {
-                    continue;
-                }
-                for family in &mix[i].reads {
-                    for other in &mix {
-                        prop_assert!(
-                            !other.writes.contains(family),
-                            "safe template {} reads {} which {} writes", i, family, other.name
-                        );
-                    }
-                }
-                if !mix[i].writes.is_empty() {
-                    prop_assert!(mix[i].fresh_writes, "non-fresh writer classified safe");
-                    for family in &mix[i].writes {
-                        for (j, other) in mix.iter().enumerate() {
-                            if j == i { continue; }
-                            prop_assert!(
-                                !other.reads.contains(family) && !other.writes.contains(family),
-                                "fresh writer {} shares family {} with template {}", i, family, j
-                            );
-                        }
-                    }
-                }
-            }
-        }
+        let mixed = analyzer(&WorkloadKind::MixedSmallbank { theta: 0.0 });
+        assert!(!mixed.any_safe_possible());
+        let query = TxnTemplate::Smallbank(SmallbankOp::QueryAccount { account: 0 });
+        assert_eq!(mixed.classify_template(&query), Unknown);
     }
 }

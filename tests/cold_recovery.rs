@@ -1,11 +1,11 @@
 //! The cold-recovery grid: simulator runs persisted to disk, killed mid-write, and recovered
 //! to bit-identity with the uninterrupted reference.
 //!
-//! Contracts pinned here, with `template_fastpath` and `pipelined_formation` both on:
+//! Contracts pinned here, with `template_fastpath` on:
 //!
 //! 1. persisting a run (`durability_dir`) never perturbs it — the durable ledger is
-//!    bit-identical to the in-memory reference for the same seed, across the full
-//!    `S×W×E` grid (store shards × formation threads × execution threads);
+//!    bit-identical to the in-memory reference for the same seed, across the full `S×E` grid
+//!    (store shards × execution threads);
 //! 2. killing the log at a byte offset and cold-recovering (newest valid checkpoint + segment
 //!    suffix replay) yields a ledger prefix and store bit-identical to the reference replayed
 //!    to the same height, and the resumed log reaches full bit-identity;
@@ -31,7 +31,6 @@ use proptest::prelude::*;
 use std::path::PathBuf;
 
 const STORE_SHARDS: [usize; 3] = [0, 2, 4];
-const FORMATION_THREADS: [usize; 2] = [0, 2];
 const EXECUTION_THREADS: [usize; 2] = [0, 2];
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -44,7 +43,7 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn sim_config(shards: usize, formation: usize, execution: usize, seed: u64) -> SimulationConfig {
+fn sim_config(shards: usize, execution: usize, seed: u64) -> SimulationConfig {
     let mut config = SimulationConfig::new(
         SystemKind::FabricSharp,
         WorkloadKind::MixedSmallbank { theta: 0.7 },
@@ -54,31 +53,18 @@ fn sim_config(shards: usize, formation: usize, execution: usize, seed: u64) -> S
     config.params.num_accounts = 64;
     config.params.request_rate_tps = 600;
     config.block.max_txns_per_block = 12;
-    config.store_shards = shards;
-    config.formation_threads = formation;
-    config.execution_threads = execution;
-    config.pipelined_formation = true;
+    config.cc.store_shards = shards;
+    config.cc.execution_threads = execution;
     config.cc.template_fastpath = true;
     config.cc.checkpoint_interval = 3;
     config.cc.segment_rotate_kib = 1;
     config
 }
 
-/// The CcConfig a restarted orderer would bring to `recover_from_disk` for this grid point.
-fn recovery_config(config: &SimulationConfig) -> CcConfig {
-    CcConfig {
-        store_shards: config.store_shards,
-        formation_threads: config.formation_threads,
-        execution_threads: config.execution_threads,
-        pipelined_formation: true,
-        ..config.cc
-    }
-}
-
 /// Replays the reference ledger's first `up_to` blocks into a genesis-seeded backend.
 fn replay_oracle(config: &SimulationConfig, ledger: &Ledger, up_to: u64) -> StoreBackend {
     let generator = WorkloadGenerator::new(config.workload.clone(), config.params, config.seed);
-    let mut store = StoreBackend::for_shards(config.store_shards);
+    let mut store = StoreBackend::for_shards(config.cc.store_shards);
     store.seed_genesis(generator.genesis());
     for block in ledger.iter().take(up_to as usize) {
         let committed: Vec<_> = block.committed().collect();
@@ -170,14 +156,14 @@ fn smallbank_probes(height: u64) -> Vec<Transaction> {
 }
 
 /// One grid point end to end: persist, tear, recover, compare, resume.
-fn crash_and_recover(shards: usize, formation: usize, execution: usize, seed: u64, chopped: u64) {
-    let config = sim_config(shards, formation, execution, seed);
-    let context = format!("S={shards} W={formation} E={execution} seed={seed} cut={chopped}");
+fn crash_and_recover(shards: usize, execution: usize, seed: u64, chopped: u64) {
+    let config = sim_config(shards, execution, seed);
+    let context = format!("S={shards} E={execution} seed={seed} cut={chopped}");
 
     let (_, reference, reference_store) = Simulator::run_full(&config);
     assert!(reference.height() >= 4, "{context}: degenerate run");
 
-    let dir = temp_dir(&format!("g{shards}{formation}{execution}-{seed}-{chopped}"));
+    let dir = temp_dir(&format!("g{shards}{execution}-{seed}-{chopped}"));
     let mut persisted_config = config.clone();
     persisted_config.durability_dir = Some(dir.clone());
     let (_, persisted, _) = Simulator::run_full(&persisted_config);
@@ -186,8 +172,7 @@ fn crash_and_recover(shards: usize, formation: usize, execution: usize, seed: u6
 
     // (2) Kill mid-write, cold-recover, compare against the replayed reference prefix.
     tear_tail(&dir, chopped);
-    let recovered: ColdRecovery =
-        recover_from_disk(&dir, recovery_config(&config)).expect("cold recovery");
+    let recovered: ColdRecovery = recover_from_disk(&dir, config.cc).expect("cold recovery");
     let height = recovered.ledger.height();
     assert!(
         height < reference.height(),
@@ -217,8 +202,7 @@ fn crash_and_recover(shards: usize, formation: usize, execution: usize, seed: u6
     }
 
     // (3) Disk and in-memory recovery build equivalent controllers.
-    let (from_memory, _) =
-        recover_from_ledger(&prefix, recovery_config(&config)).expect("memory recovery");
+    let (from_memory, _) = recover_from_ledger(&prefix, config.cc).expect("memory recovery");
     assert_controllers_equivalent(
         recovered.cc,
         from_memory,
@@ -248,10 +232,8 @@ fn crash_and_recover(shards: usize, formation: usize, execution: usize, seed: u6
 #[test]
 fn crash_recovery_is_bit_identical_across_the_grid() {
     for shards in STORE_SHARDS {
-        for formation in FORMATION_THREADS {
-            for execution in EXECUTION_THREADS {
-                crash_and_recover(shards, formation, execution, 42, 9);
-            }
+        for execution in EXECUTION_THREADS {
+            crash_and_recover(shards, execution, 42, 9);
         }
     }
 }
@@ -265,7 +247,7 @@ proptest! {
         seed in any::<u64>(),
         chopped in 1u64..2_000,
     ) {
-        crash_and_recover(2, 2, 2, seed, chopped);
+        crash_and_recover(2, 2, seed, chopped);
     }
 }
 

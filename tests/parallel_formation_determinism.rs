@@ -1,32 +1,31 @@
-//! Determinism harness for the parallel formation/arrival worker threads.
+//! Determinism harness for block formation over the shard-partitioned dependency graph.
 //!
-//! The sharded dependency-graph engine can fan its per-shard work — border node-copy inserts
-//! on arrival, the per-shard formation topo sorts, ww-chain restoration, pruning — out across
-//! `W = CcConfig::formation_threads` workers. Concurrency claims like this are only credible
-//! when the serializable-equivalence guarantee is *tested* under adversarial schedules (cf.
-//! the snapshot-isolation robustness literature), so this battery pins the hard invariant:
-//! ledgers, commit orders and cycle verdicts must be **bit-identical** to the inline unsharded
-//! reference at every tested `S` (store shards) × `W` (formation threads) combination, for all
-//! five systems, multiple seeds, and workloads engineered for maximal cross-shard pressure —
-//! and the knob must compose with `endorser_shards`.
+//! With `S = CcConfig::store_shards > 0` the orderer forms blocks over per-shard dependency
+//! graphs behind the cross-shard coordinator: border node-copy inserts on arrival, per-shard
+//! topo sorts, ww-chain restoration and pruning. Formation runs inline, one sequential step
+//! per block; the surviving thread knob is block commit's `E = CcConfig::execution_threads`.
+//! This battery pins the hard invariant: ledgers, stores, commit orders and cycle verdicts
+//! must be **bit-identical** to the inline unsharded serial reference at every tested `S` ×
+//! `E` combination, for all five systems, multiple seeds, and workloads engineered for
+//! maximal cross-shard pressure.
 
 use fabricsharp::baselines::{SimpleChain, SystemKind};
 use fabricsharp::common::config::WorkloadParams;
 use fabricsharp::core::serializability::is_serializable;
 use fabricsharp::sim::runner::{SimulationConfig, Simulator};
 use fabricsharp::sim::SimReport;
+use fabricsharp::vstore::StateRead;
 use fabricsharp::workload::generator::{WorkloadGenerator, WorkloadKind};
 use fabricsharp::workload::YcsbProfile;
 
 const SHARD_COUNTS: [usize; 3] = [0, 2, 4];
-const THREAD_COUNTS: [usize; 4] = [0, 1, 2, 4];
+const THREAD_COUNTS: [usize; 2] = [0, 2];
 const SEEDS: [u64; 3] = [1, 7, 42];
 
 fn workloads() -> Vec<(&'static str, WorkloadKind)> {
     vec![
         ("modified-smallbank", WorkloadKind::ModifiedSmallbank),
-        // Every transaction touches several shards: the worst case for the coordinator and
-        // therefore for any parallel/sequential divergence.
+        // Every transaction touches several shards: the worst case for the coordinator.
         (
             "ycsb-f-cross100",
             WorkloadKind::Ycsb(YcsbProfile::f().with_cross_shard(4, 1.0)),
@@ -64,16 +63,17 @@ fn assert_reports_match(context: &str, reference: &SimReport, candidate: &SimRep
     );
 }
 
-/// The acceptance criterion: for every system × workload × seed, every `S` × `W` combination
-/// reproduces the inline unsharded reference ledger block for block, hash for hash.
+/// The acceptance criterion: for every system × workload × seed, every `S` × `E` combination
+/// reproduces the inline unsharded serial reference ledger block for block, hash for hash,
+/// and ends with the same store contents.
 #[test]
 fn ledgers_are_bit_identical_at_every_shard_and_thread_count() {
     for system in SystemKind::all() {
         for (name, workload) in workloads() {
             for seed in SEEDS {
                 let reference_cfg = base_config(system, workload.clone(), seed);
-                let (reference_report, reference_ledger) =
-                    Simulator::run_with_ledger(&reference_cfg);
+                let (reference_report, reference_ledger, reference_store) =
+                    Simulator::run_full(&reference_cfg);
                 assert!(
                     reference_report.committed > 0,
                     "{system}/{name}/seed{seed}: reference run must commit work"
@@ -85,10 +85,10 @@ fn ledgers_are_bit_identical_at_every_shard_and_thread_count() {
                             continue; // that is the reference itself
                         }
                         let mut cfg = reference_cfg.clone();
-                        cfg.store_shards = shards;
-                        cfg.formation_threads = threads;
-                        let (report, ledger) = Simulator::run_with_ledger(&cfg);
-                        let context = format!("{system}/{name}/seed{seed}/S{shards}/W{threads}");
+                        cfg.cc.store_shards = shards;
+                        cfg.cc.execution_threads = threads;
+                        let (report, ledger, store) = Simulator::run_full(&cfg);
+                        let context = format!("{system}/{name}/seed{seed}/S{shards}/E{threads}");
 
                         assert_reports_match(&context, &reference_report, &report);
                         assert_eq!(
@@ -110,6 +110,16 @@ fn ledgers_are_bit_identical_at_every_shard_and_thread_count() {
                             "{context}: tip hash"
                         );
                         assert!(ledger.verify_integrity().is_ok(), "{context}: integrity");
+                        assert_eq!(
+                            reference_store.last_block(),
+                            store.last_block(),
+                            "{context}: store height"
+                        );
+                        assert_eq!(
+                            reference_store.histories(),
+                            store.histories(),
+                            "{context}: store contents"
+                        );
                     }
                 }
             }
@@ -117,34 +127,12 @@ fn ledgers_are_bit_identical_at_every_shard_and_thread_count() {
     }
 }
 
-/// Formation threads compose with the other two concurrency knobs: endorser worker shards and
-/// store shards together with `W > 0` still reproduce the all-inline reference ledger.
-#[test]
-fn formation_threads_compose_with_endorser_shards() {
-    for (name, workload) in workloads() {
-        let reference_cfg = base_config(SystemKind::FabricSharp, workload, 7);
-        let (reference_report, reference_ledger) = Simulator::run_with_ledger(&reference_cfg);
-        let mut cfg = reference_cfg.clone();
-        cfg.store_shards = 2;
-        cfg.endorser_shards = 2;
-        cfg.formation_threads = 2;
-        let (report, ledger) = Simulator::run_with_ledger(&cfg);
-        let context = format!("{name}/store2+endorser2+formation2");
-        assert_reports_match(&context, &reference_report, &report);
-        assert_eq!(
-            reference_ledger.tip_hash(),
-            ledger.tip_hash(),
-            "{context}: tip hash"
-        );
-    }
-}
-
 /// Transaction-level pinning under 100% cross-shard traffic: every submission's decision
 /// (accept, or reject with the *same* abort reason — i.e. the same cycle verdict, bloom false
 /// positives included), every block's commit order, and the chain hashes must agree between
-/// the inline unsharded chain, the sharded inline chain, and the sharded worker-pool chain.
-/// FabricSharp peers skip MVCC validation, so the serializability oracle on the parallel
-/// chain's history is the end-to-end safety check.
+/// the inline unsharded chain and the four-shard chain. FabricSharp peers skip MVCC
+/// validation, so the serializability oracle on the sharded chain's history is the
+/// end-to-end safety check.
 #[test]
 fn decisions_commit_orders_and_verdicts_match_under_full_cross_shard_pressure() {
     let workload = WorkloadKind::Ycsb(YcsbProfile::f().with_cross_shard(4, 1.0));
@@ -155,90 +143,49 @@ fn decisions_commit_orders_and_verdicts_match_under_full_cross_shard_pressure() 
     let mut generator = WorkloadGenerator::new(workload, params, 99);
 
     let mut reference = SimpleChain::new(SystemKind::FabricSharp);
-    let mut sharded_inline = SimpleChain::with_sharded_formation(SystemKind::FabricSharp, 4, 0);
-    let mut sharded_parallel = SimpleChain::with_sharded_formation(SystemKind::FabricSharp, 4, 2);
-    for chain in [&mut reference, &mut sharded_inline, &mut sharded_parallel] {
+    let mut sharded = SimpleChain::with_store_shards(SystemKind::FabricSharp, 4);
+    for chain in [&mut reference, &mut sharded] {
         chain.seed(generator.genesis());
     }
 
     for i in 0..160usize {
         let template = generator.next_template();
         let txn_ref = reference.execute(|ctx| template.run(ctx));
-        let txn_inline = sharded_inline.execute(|ctx| template.run(ctx));
-        let txn_par = sharded_parallel.execute(|ctx| template.run(ctx));
-        assert_eq!(txn_ref, txn_inline, "endorsement diverged at txn {i}");
-        assert_eq!(txn_ref, txn_par, "endorsement diverged at txn {i}");
+        let txn_sharded = sharded.execute(|ctx| template.run(ctx));
+        assert_eq!(txn_ref, txn_sharded, "endorsement diverged at txn {i}");
 
         let d_ref = reference.submit(txn_ref);
-        let d_inline = sharded_inline.submit(txn_inline);
-        let d_par = sharded_parallel.submit(txn_par);
-        assert_eq!(d_ref, d_inline, "decision diverged at txn {i} (S4/W0)");
-        assert_eq!(d_ref, d_par, "decision diverged at txn {i} (S4/W2)");
+        let d_sharded = sharded.submit(txn_sharded);
+        assert_eq!(d_ref, d_sharded, "decision diverged at txn {i} (S4)");
 
         if (i + 1) % 10 == 0 {
             let b_ref = reference.seal_block();
-            let b_inline = sharded_inline.seal_block();
-            let b_par = sharded_parallel.seal_block();
+            let b_sharded = sharded.seal_block();
             assert_eq!(
-                b_ref.committed, b_inline.committed,
-                "commit order diverged at block {:?} (S4/W0)",
-                b_ref.block_number
-            );
-            assert_eq!(
-                b_ref.committed, b_par.committed,
-                "commit order diverged at block {:?} (S4/W2)",
+                b_ref.committed, b_sharded.committed,
+                "commit order diverged at block {:?} (S4)",
                 b_ref.block_number
             );
             assert!(
-                is_serializable(sharded_parallel.committed_history()),
+                is_serializable(sharded.committed_history()),
                 "history became non-serializable after block {:?}",
-                b_par.block_number
+                b_sharded.block_number
             );
         }
     }
-    for chain in [&mut reference, &mut sharded_inline, &mut sharded_parallel] {
+    for chain in [&mut reference, &mut sharded] {
         chain.seal_block();
     }
-    assert!(is_serializable(sharded_parallel.committed_history()));
-    assert_eq!(
-        reference.ledger().tip_hash(),
-        sharded_inline.ledger().tip_hash()
-    );
-    assert_eq!(
-        reference.ledger().tip_hash(),
-        sharded_parallel.ledger().tip_hash()
-    );
-    assert!(sharded_parallel.ledger().verify_integrity().is_ok());
+    assert!(is_serializable(sharded.committed_history()));
+    assert_eq!(reference.ledger().tip_hash(), sharded.ledger().tip_hash());
+    assert!(sharded.ledger().verify_integrity().is_ok());
     assert!(
-        sharded_parallel.ledger().committed_txn_count() > 0,
+        sharded.ledger().committed_txn_count() > 0,
         "cross-shard traffic must commit"
-    );
-    assert!(
-        !sharded_parallel.early_aborted().is_empty()
-            || sharded_parallel.ledger().committed_txn_count() > 0,
-        "the schedule must exercise real decisions"
     );
     assert_eq!(
         reference.early_aborted(),
-        sharded_parallel.early_aborted(),
+        sharded.early_aborted(),
         "early-abort sequences (cycle verdicts) must be identical"
     );
-}
-
-/// Repeated runs of the same parallel configuration are reproducible with each other (no
-/// scheduling nondeterminism leaks into the ledger even at W = 4 over S = 4).
-#[test]
-fn parallel_runs_are_reproducible_across_invocations() {
-    let mut cfg = base_config(
-        SystemKind::FabricSharp,
-        WorkloadKind::Ycsb(YcsbProfile::f().with_cross_shard(4, 1.0)),
-        3,
-    );
-    cfg.store_shards = 4;
-    cfg.formation_threads = 4;
-    let (report_a, ledger_a) = Simulator::run_with_ledger(&cfg);
-    let (report_b, ledger_b) = Simulator::run_with_ledger(&cfg);
-    assert_reports_match("repeat", &report_a, &report_b);
-    assert_eq!(ledger_a.tip_hash(), ledger_b.tip_hash());
-    assert!(report_a.committed > 0);
 }

@@ -6,7 +6,7 @@
 //! Parallelism claims like this are only credible when serial equivalence is *tested* under
 //! adversarial schedules, so this battery pins the hard invariant end to end: ledgers, final
 //! store contents and reports must be **bit-identical** to the inline serial reference
-//! (`E = 0`) at every tested `S` (store shards) × `W` (formation threads) × `E` combination,
+//! (`E = 0`) at every tested `S` (store shards) × `E` combination,
 //! for all five systems, on workloads chosen to stress both ends of the spectrum — a
 //! write-partitioned YCSB-B mix (wide conflict-free waves, heavy matrix widening) and a 100%
 //! cross-shard YCSB-F mix (maximal conflict pressure, frequent single-txn waves and serial
@@ -21,7 +21,6 @@ use fabricsharp::workload::generator::{TxnTemplate, WorkloadGenerator, WorkloadK
 use fabricsharp::workload::YcsbProfile;
 
 const STORE_SHARDS: [usize; 3] = [0, 2, 4];
-const FORMATION_THREADS: [usize; 2] = [0, 2];
 const EXECUTION_THREADS: [usize; 4] = [0, 1, 2, 4];
 
 fn workloads() -> Vec<(&'static str, WorkloadKind)> {
@@ -77,87 +76,89 @@ fn assert_reports_match(context: &str, reference: &SimReport, candidate: &SimRep
     );
 }
 
-/// The acceptance criterion: for every system × workload, every `S` × `W` × `E` combination
-/// reproduces the all-inline reference ledger block for block — and within each `(S, W)`
-/// cell, every `E >= 1` run leaves the store byte-identical to that cell's `E = 0` run
-/// (same backend shape, so the comparison is exact) with an identical wave decomposition at
-/// every thread count.
+/// The acceptance criterion: for every system × workload, every `S` × `E` combination
+/// reproduces the all-inline reference ledger block for block — and within each `S` cell,
+/// every `E >= 1` run leaves the store byte-identical to that cell's `E = 0` run (same
+/// backend shape, so the comparison is exact) with an identical wave decomposition at every
+/// thread count.
 #[test]
 fn ledgers_and_stores_are_bit_identical_at_every_execution_thread_count() {
     for system in SystemKind::all() {
         for (name, workload) in workloads() {
             let reference_cfg = base_config(system, workload.clone());
-            let (reference_report, reference_ledger, _) = Simulator::run_full(&reference_cfg);
+            let (reference_report, reference_ledger, reference_store) =
+                Simulator::run_full(&reference_cfg);
             assert!(
                 reference_report.committed > 0,
                 "{system}/{name}: reference run must commit work"
             );
 
             for shards in STORE_SHARDS {
-                for formation in FORMATION_THREADS {
-                    // This cell's serial-commit run: the store oracle for every E >= 1.
-                    let mut serial_cfg = reference_cfg.clone();
-                    serial_cfg.store_shards = shards;
-                    serial_cfg.formation_threads = formation;
-                    let (serial_report, serial_ledger, serial_store) =
-                        Simulator::run_full(&serial_cfg);
-                    let serial_store = format!("{serial_store:?}");
-                    let cell = format!("{system}/{name}/S{shards}/W{formation}");
-                    assert_reports_match(&cell, &reference_report, &serial_report);
+                // This cell's serial-commit run: the store oracle for every E >= 1.
+                let mut serial_cfg = reference_cfg.clone();
+                serial_cfg.cc.store_shards = shards;
+                let (serial_report, serial_ledger, serial_store) = Simulator::run_full(&serial_cfg);
+                let cell = format!("{system}/{name}/S{shards}");
+                assert_reports_match(&cell, &reference_report, &serial_report);
+                assert_eq!(
+                    reference_ledger.tip_hash(),
+                    serial_ledger.tip_hash(),
+                    "{cell}: serial tip hash"
+                );
+                assert_eq!(
+                    reference_store.histories(),
+                    serial_store.histories(),
+                    "{cell}: serial store contents"
+                );
+                let serial_store = format!("{serial_store:?}");
+
+                let mut cell_wave = None;
+                for execution in EXECUTION_THREADS {
+                    if execution == 0 {
+                        continue; // that is the cell's serial oracle itself
+                    }
+                    let mut cfg = serial_cfg.clone();
+                    cfg.cc.execution_threads = execution;
+                    let (report, ledger, store) = Simulator::run_full(&cfg);
+                    let context = format!("{cell}/E{execution}");
+
+                    assert_reports_match(&context, &reference_report, &report);
                     assert_eq!(
-                        reference_ledger.tip_hash(),
-                        serial_ledger.tip_hash(),
-                        "{cell}: serial tip hash"
+                        serial_ledger.height(),
+                        ledger.height(),
+                        "{context}: ledger height"
                     );
-
-                    let mut cell_wave = None;
-                    for execution in EXECUTION_THREADS {
-                        if execution == 0 {
-                            continue; // that is the cell's serial oracle itself
-                        }
-                        let mut cfg = serial_cfg.clone();
-                        cfg.execution_threads = execution;
-                        let (report, ledger, store) = Simulator::run_full(&cfg);
-                        let context = format!("{cell}/E{execution}");
-
-                        assert_reports_match(&context, &reference_report, &report);
+                    for (expected, actual) in serial_ledger.iter().zip(ledger.iter()) {
                         assert_eq!(
-                            serial_ledger.height(),
-                            ledger.height(),
-                            "{context}: ledger height"
+                            expected,
+                            actual,
+                            "{context}: block {} diverged",
+                            expected.number()
                         );
-                        for (expected, actual) in serial_ledger.iter().zip(ledger.iter()) {
-                            assert_eq!(
-                                expected,
-                                actual,
-                                "{context}: block {} diverged",
-                                expected.number()
-                            );
-                        }
-                        assert_eq!(
-                            serial_ledger.tip_hash(),
-                            ledger.tip_hash(),
-                            "{context}: tip hash"
-                        );
-                        assert!(ledger.verify_integrity().is_ok(), "{context}: integrity");
-                        assert_eq!(
-                            serial_store,
-                            format!("{store:?}"),
-                            "{context}: store contents diverged from serial commit"
-                        );
-                        // The wave decomposition is a pure function of the committed blocks:
-                        // every E >= 1 must plan the same waves.
-                        assert!(
-                            report.wave.blocks > 0,
-                            "{context}: scheduler must have planned waves"
-                        );
-                        match &cell_wave {
-                            None => cell_wave = Some(report.wave),
-                            Some(expected) => assert_eq!(
-                                *expected, report.wave,
-                                "{context}: wave decomposition diverged across E"
-                            ),
-                        }
+                    }
+                    assert_eq!(
+                        serial_ledger.tip_hash(),
+                        ledger.tip_hash(),
+                        "{context}: tip hash"
+                    );
+                    assert!(ledger.verify_integrity().is_ok(), "{context}: integrity");
+                    assert_eq!(
+                        serial_store,
+                        format!("{store:?}"),
+                        "{context}: store contents diverged from serial commit"
+                    );
+                    // The wave decomposition is a pure function of the committed blocks:
+                    // every E >= 1 must plan the same waves.
+                    assert!(
+                        report.wave.blocks > 0,
+                        "{context}: scheduler must have planned waves"
+                    );
+                    match &cell_wave {
+                        None => cell_wave = Some(report.wave),
+                        Some(expected) => assert_eq!(
+                            *expected, report.wave,
+                            "{context}: wave decomposition diverged across E"
+                        ),
                     }
                 }
             }
@@ -270,16 +271,15 @@ fn chain_harnesses_match_the_serial_commit_at_every_execution_thread_count() {
 }
 
 /// Repeated runs of the same heavily parallel configuration reproduce each other exactly —
-/// no scheduling nondeterminism leaks into ledger, store or wave plan even at S4/W2/E4.
+/// no scheduling nondeterminism leaks into ledger, store or wave plan even at S4/E4.
 #[test]
 fn parallel_commit_runs_are_reproducible_across_invocations() {
     let mut cfg = base_config(
         SystemKind::FabricSharp,
         WorkloadKind::Ycsb(YcsbProfile::f().with_cross_shard(4, 1.0)),
     );
-    cfg.store_shards = 4;
-    cfg.formation_threads = 2;
-    cfg.execution_threads = 4;
+    cfg.cc.store_shards = 4;
+    cfg.cc.execution_threads = 4;
     let (report_a, ledger_a, store_a) = Simulator::run_full(&cfg);
     let (report_b, ledger_b, store_b) = Simulator::run_full(&cfg);
     assert_reports_match("repeat", &report_a, &report_b);

@@ -6,13 +6,15 @@
 //! hash, for every shard count. This is the replication requirement of Section 3.5 extended
 //! along a second axis — `tests/pipeline_determinism.rs` proves it for endorser shards, this
 //! harness proves it for store/graph shards, including workloads engineered to maximise
-//! cross-shard (border) transactions.
+//! cross-shard (border) transactions. Every grid point asserts ledger, store and report
+//! identity.
 
 use fabricsharp::baselines::{SimpleChain, SystemKind};
 use fabricsharp::common::config::WorkloadParams;
 use fabricsharp::core::serializability::is_serializable;
 use fabricsharp::sim::runner::{SimulationConfig, Simulator};
 use fabricsharp::sim::SimReport;
+use fabricsharp::vstore::StateRead;
 use fabricsharp::workload::generator::{WorkloadGenerator, WorkloadKind};
 use fabricsharp::workload::YcsbProfile;
 
@@ -58,7 +60,8 @@ fn assert_reports_match(context: &str, reference: &SimReport, candidate: &SimRep
 
 /// The core acceptance criterion: for every system × workload × seed in the harness, S = 1, 2
 /// and 4 sharded runs produce ledgers bit-for-bit identical to the unsharded reference — same
-/// heights, same per-block entries (transactions *and* statuses), same chain hashes. For
+/// heights, same per-block entries (transactions *and* statuses), same chain hashes — and the
+/// same final store contents. For
 /// FabricSharp this exercises the sharded dependency graph + coordinator on the decision path;
 /// for the four baselines it exercises the sharded store and MVCC validation.
 #[test]
@@ -67,8 +70,8 @@ fn sharded_runs_reproduce_the_unsharded_ledger_for_every_system() {
         for (name, workload) in workloads() {
             for seed in [1u64, 42] {
                 let reference_cfg = base_config(system, workload.clone(), seed);
-                let (reference_report, reference_ledger) =
-                    Simulator::run_with_ledger(&reference_cfg);
+                let (reference_report, reference_ledger, reference_store) =
+                    Simulator::run_full(&reference_cfg);
                 assert!(
                     reference_report.committed > 0,
                     "{system}/{name}/seed{seed}: reference run must commit work"
@@ -76,8 +79,8 @@ fn sharded_runs_reproduce_the_unsharded_ledger_for_every_system() {
 
                 for shards in SHARD_COUNTS {
                     let mut cfg = reference_cfg.clone();
-                    cfg.store_shards = shards;
-                    let (report, ledger) = Simulator::run_with_ledger(&cfg);
+                    cfg.cc.store_shards = shards;
+                    let (report, ledger, store) = Simulator::run_full(&cfg);
                     let context = format!("{system}/{name}/seed{seed}/store-shards{shards}");
 
                     assert_reports_match(&context, &reference_report, &report);
@@ -100,6 +103,17 @@ fn sharded_runs_reproduce_the_unsharded_ledger_for_every_system() {
                         "{context}: tip hash"
                     );
                     assert!(ledger.verify_integrity().is_ok(), "{context}: integrity");
+                    assert_eq!(store.shard_count(), shards, "{context}: store shards");
+                    assert_eq!(
+                        reference_store.last_block(),
+                        store.last_block(),
+                        "{context}: store height"
+                    );
+                    assert_eq!(
+                        reference_store.histories(),
+                        store.histories(),
+                        "{context}: store contents"
+                    );
                 }
             }
         }
@@ -113,7 +127,7 @@ fn store_shards_compose_with_endorser_shards() {
     let reference_cfg = base_config(SystemKind::FabricSharp, WorkloadKind::ModifiedSmallbank, 7);
     let (reference_report, reference_ledger) = Simulator::run_with_ledger(&reference_cfg);
     let mut cfg = reference_cfg.clone();
-    cfg.store_shards = 2;
+    cfg.cc.store_shards = 2;
     cfg.endorser_shards = 2;
     let (report, ledger) = Simulator::run_with_ledger(&cfg);
     assert_reports_match("store2+endorser2", &reference_report, &report);
@@ -130,7 +144,7 @@ fn all_cross_shard_traffic_matches_the_reference() {
     assert!(reference_report.committed > 0);
 
     let mut cfg = reference_cfg.clone();
-    cfg.store_shards = 2;
+    cfg.cc.store_shards = 2;
     let (report, ledger) = Simulator::run_with_ledger(&cfg);
     assert_reports_match("all-cross", &reference_report, &report);
     assert_eq!(reference_ledger.tip_hash(), ledger.tip_hash());
@@ -140,7 +154,8 @@ fn all_cross_shard_traffic_matches_the_reference() {
 /// validation entirely, so the sharded graph + coordinator is the only thing standing between
 /// contended cross-shard traffic and a non-serializable ledger. Every sealed block must keep
 /// the committed history serializable, and the sharded chain must match the unsharded one
-/// block for block.
+/// decision for decision (accept, or reject with the *same* abort reason — the same cycle
+/// verdict, bloom false positives included), commit order for commit order, hash for hash.
 #[test]
 fn smallbank_oracle_passes_with_cross_shard_transactions() {
     let workloads: Vec<(&str, WorkloadKind)> = vec![
@@ -171,11 +186,17 @@ fn smallbank_oracle_passes_with_cross_shard_transactions() {
             let txn_a = reference.execute(|ctx| template.run(ctx));
             let txn_b = sharded.execute(|ctx| template.run(ctx));
             assert_eq!(txn_a, txn_b, "{name}: endorsement diverged at txn {i}");
-            let _ = reference.submit(txn_a);
-            let _ = sharded.submit(txn_b);
+            let d_a = reference.submit(txn_a);
+            let d_b = sharded.submit(txn_b);
+            assert_eq!(d_a, d_b, "{name}: decision diverged at txn {i}");
             if (i + 1) % 8 == 0 {
-                reference.seal_block();
-                sharded.seal_block();
+                let b_a = reference.seal_block();
+                let b_b = sharded.seal_block();
+                assert_eq!(
+                    b_a.committed, b_b.committed,
+                    "{name}: commit order diverged at block {:?}",
+                    b_a.block_number
+                );
                 assert!(
                     is_serializable(sharded.committed_history()),
                     "{name}: history became non-serializable after block {}",
@@ -195,6 +216,11 @@ fn smallbank_oracle_passes_with_cross_shard_transactions() {
             reference.ledger().tip_hash(),
             sharded.ledger().tip_hash(),
             "{name}: sharded chain must match the unsharded one"
+        );
+        assert_eq!(
+            reference.early_aborted(),
+            sharded.early_aborted(),
+            "{name}: early-abort sequences (cycle verdicts) must be identical"
         );
         assert!(sharded.ledger().verify_integrity().is_ok());
         assert!(

@@ -1,13 +1,12 @@
 //! Determinism harness for the template-robustness fast path.
 //!
 //! `CcConfig::template_fastpath` lets transactions classified statically safe — per template
-//! by `eov_workload::templates`, and per *instance* by the key-granular
-//! `eov_workload::conflict` analyzer — bypass the dependency graph entirely: no node
+//! and per *instance* by the key-granular `eov_workload::conflict` analyzer — bypass the dependency graph entirely: no node
 //! insertion, no cycle probing, no CW/CR/PW/PR entries, no ww-restoration participation. The
 //! knob is a pure execution-path optimisation — the paper's Algorithms 2/3/5 semantics must
 //! be preserved **bit for bit**. This battery pins that contract end to end: with the fast
-//! path on, every tested `S` (store shards) × `W` (formation threads) combination must
-//! reproduce the fastpath-off inline reference ledger block for block, hash for hash, for all
+//! path on, every tested `S` (store shards) must reproduce the fastpath-off inline reference
+//! ledger block for block, hash for hash, with the same final store contents, for all
 //! five systems, two seeds, and workloads covering safe-heavy (YCSB-C: 100% reads),
 //! safe-fresh-writer (CreateAccount), instance-rescued (write-partitioned YCSB-B: read
 //! arrivals whose sampled keys miss the write tail are safe even though their template is
@@ -24,11 +23,11 @@ use fabricsharp::core::serializability::is_serializable;
 use fabricsharp::core::FabricSharpCC;
 use fabricsharp::sim::runner::{SimulationConfig, Simulator};
 use fabricsharp::sim::SimReport;
+use fabricsharp::vstore::StateRead;
 use fabricsharp::workload::generator::{WorkloadGenerator, WorkloadKind};
 use fabricsharp::workload::YcsbProfile;
 
 const SHARD_COUNTS: [usize; 3] = [0, 2, 4];
-const THREAD_COUNTS: [usize; 4] = [0, 1, 2, 4];
 const SEEDS: [u64; 2] = [7, 42];
 
 fn workloads() -> Vec<(&'static str, WorkloadKind)> {
@@ -80,61 +79,67 @@ fn assert_reports_match(context: &str, reference: &SimReport, candidate: &SimRep
     );
 }
 
-/// The acceptance criterion: for every system × workload × seed, the fast path at every
-/// `S` × `W` combination reproduces the fastpath-off inline reference ledger block for block.
+/// The acceptance criterion: for every system × workload × seed, the fast path at every `S`
+/// reproduces the fastpath-off inline reference ledger block for block, and its final store.
 #[test]
 fn fastpath_ledgers_are_bit_identical_across_the_grid() {
     for system in SystemKind::all() {
         for (name, workload) in workloads() {
             for seed in SEEDS {
                 let reference_cfg = base_config(system, workload.clone(), seed);
-                let (reference_report, reference_ledger) =
-                    Simulator::run_with_ledger(&reference_cfg);
+                let (reference_report, reference_ledger, reference_store) =
+                    Simulator::run_full(&reference_cfg);
                 assert!(
                     reference_report.committed > 0,
                     "{system}/{name}/seed{seed}: reference run must commit work"
                 );
 
                 for shards in SHARD_COUNTS {
-                    for threads in THREAD_COUNTS {
-                        let mut cfg = reference_cfg.clone();
-                        cfg.cc.template_fastpath = true;
-                        cfg.store_shards = shards;
-                        cfg.formation_threads = threads;
-                        let (report, ledger) = Simulator::run_with_ledger(&cfg);
-                        let context =
-                            format!("{system}/{name}/seed{seed}/fastpath/S{shards}/W{threads}");
+                    let mut cfg = reference_cfg.clone();
+                    cfg.cc.template_fastpath = true;
+                    cfg.cc.store_shards = shards;
+                    let (report, ledger, store) = Simulator::run_full(&cfg);
+                    let context = format!("{system}/{name}/seed{seed}/fastpath/S{shards}");
 
-                        assert_reports_match(&context, &reference_report, &report);
+                    assert_reports_match(&context, &reference_report, &report);
+                    assert_eq!(
+                        reference_ledger.height(),
+                        ledger.height(),
+                        "{context}: ledger height"
+                    );
+                    for (expected, actual) in reference_ledger.iter().zip(ledger.iter()) {
                         assert_eq!(
-                            reference_ledger.height(),
-                            ledger.height(),
-                            "{context}: ledger height"
+                            expected,
+                            actual,
+                            "{context}: block {} diverged",
+                            expected.number()
                         );
-                        for (expected, actual) in reference_ledger.iter().zip(ledger.iter()) {
-                            assert_eq!(
-                                expected,
-                                actual,
-                                "{context}: block {} diverged",
-                                expected.number()
-                            );
-                        }
-                        assert_eq!(
-                            reference_ledger.tip_hash(),
-                            ledger.tip_hash(),
-                            "{context}: tip hash"
-                        );
-                        assert!(ledger.verify_integrity().is_ok(), "{context}: integrity");
                     }
+                    assert_eq!(
+                        reference_ledger.tip_hash(),
+                        ledger.tip_hash(),
+                        "{context}: tip hash"
+                    );
+                    assert!(ledger.verify_integrity().is_ok(), "{context}: integrity");
+                    assert_eq!(
+                        reference_store.last_block(),
+                        store.last_block(),
+                        "{context}: store height"
+                    );
+                    assert_eq!(
+                        reference_store.histories(),
+                        store.histories(),
+                        "{context}: store contents"
+                    );
                 }
             }
         }
     }
 }
 
-/// The fast path composes with the other concurrency knobs: endorser worker shards, store
-/// shards and formation threads together with `template_fastpath` still reproduce the all-off
-/// inline reference ledger.
+/// The fast path composes with the other concurrency knobs: endorser worker shards and store
+/// shards together with `template_fastpath` still reproduce the all-off inline reference
+/// ledger.
 #[test]
 fn fastpath_composes_with_endorser_shards() {
     for (name, workload) in workloads() {
@@ -142,11 +147,10 @@ fn fastpath_composes_with_endorser_shards() {
         let (reference_report, reference_ledger) = Simulator::run_with_ledger(&reference_cfg);
         let mut cfg = reference_cfg.clone();
         cfg.cc.template_fastpath = true;
-        cfg.store_shards = 2;
+        cfg.cc.store_shards = 2;
         cfg.endorser_shards = 2;
-        cfg.formation_threads = 2;
         let (report, ledger) = Simulator::run_with_ledger(&cfg);
-        let context = format!("{name}/fastpath+store2+endorser2+formation2");
+        let context = format!("{name}/fastpath+store2+endorser2");
         assert_reports_match(&context, &reference_report, &report);
         assert_eq!(
             reference_ledger.tip_hash(),
@@ -320,7 +324,7 @@ fn fastpath_keeps_safe_transactions_out_of_the_graph() {
 mod instance_soundness {
     //! Randomized soundness: for arbitrary write-partition geometry, instance-safe bypass
     //! must preserve the raw orderer's commit sequence (ids *and* slots) exactly, at every
-    //! store-shard × formation-thread combination.
+    //! store-shard count.
 
     use fabricsharp::common::config::{CcConfig, WorkloadParams};
     use fabricsharp::common::txn::{Transaction, TxnId};
@@ -382,8 +386,8 @@ mod instance_soundness {
         #![proptest_config(ProptestConfig::with_cases(10))]
 
         /// For any partition geometry, fast path on reproduces the fastpath-off commit
-        /// sequence at every S × W combination, and the bypass count matches the analyzer's
-        /// prediction exactly.
+        /// sequence at every S, and the bypass count matches the analyzer's prediction
+        /// exactly.
         #[test]
         fn instance_fastpath_preserves_the_commit_sequence(
             seed in 0u64..10_000,
@@ -395,26 +399,20 @@ mod instance_soundness {
             prop_assert!(!reference.is_empty(), "reference run must commit work");
 
             for shards in [0usize, 2, 4] {
-                for threads in [0usize, 2] {
-                    let (fast, bypassed) = commit_sequence(
-                        &txns,
-                        CcConfig {
-                            template_fastpath: true,
-                            store_shards: shards,
-                            formation_threads: threads,
-                            ..CcConfig::default()
-                        },
-                    );
-                    prop_assert_eq!(
-                        &reference, &fast,
-                        "commit sequence diverged at S{}/W{}", shards, threads
-                    );
-                    prop_assert_eq!(
-                        predicted, bypassed,
-                        "analyzer predicted {} safe but S{}/W{} bypassed {}",
-                        predicted, shards, threads, bypassed
-                    );
-                }
+                let (fast, bypassed) = commit_sequence(
+                    &txns,
+                    CcConfig {
+                        template_fastpath: true,
+                        store_shards: shards,
+                        ..CcConfig::default()
+                    },
+                );
+                prop_assert_eq!(&reference, &fast, "commit sequence diverged at S{}", shards);
+                prop_assert_eq!(
+                    predicted, bypassed,
+                    "analyzer predicted {} safe but S{} bypassed {}",
+                    predicted, shards, bypassed
+                );
             }
         }
     }

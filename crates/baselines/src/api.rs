@@ -14,7 +14,7 @@ use std::time::Duration;
 
 // The shared commit semantics moved to `fabricsharp_core::commit` (so the parallel commit
 // scheduler and the serial reference live side by side); re-exported here because every
-// baseline and the chain facades import them through this module.
+// baseline and the chain facade import them through this module.
 pub use fabricsharp_core::commit::{
     apply_without_validation, commit_block, count_anti_rw_commits, mvcc_validate_and_apply,
 };

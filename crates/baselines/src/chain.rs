@@ -55,54 +55,6 @@ impl SimpleChain {
         Self::with_cc_config(kind, CcConfig::default())
     }
 
-    /// Creates a chain whose state store, indices and dependency graph are partitioned across
-    /// `store_shards` key-space shards (`0` = the unsharded reference). Ledger outcomes are
-    /// bit-identical for every shard count; the knob exists so tests and benches can exercise
-    /// the sharded engine through the same facade.
-    pub fn with_store_shards(kind: SystemKind, store_shards: usize) -> Self {
-        Self::with_cc_config(
-            kind,
-            CcConfig {
-                store_shards,
-                ..CcConfig::default()
-            },
-        )
-    }
-
-    /// Creates a chain with the template fast path toggled (`store_shards` selects the
-    /// engine as in [`SimpleChain::with_store_shards`]). With the knob on, transactions
-    /// tagged [`eov_common::txn::TemplateClass::Safe`] bypass the dependency graph; ledger
-    /// outcomes stay bit-identical to the knob-off reference.
-    pub fn with_template_fastpath(kind: SystemKind, store_shards: usize, enabled: bool) -> Self {
-        Self::with_cc_config(
-            kind,
-            CcConfig {
-                store_shards,
-                template_fastpath: enabled,
-                ..CcConfig::default()
-            },
-        )
-    }
-
-    /// Creates a chain committing sealed blocks through the parallel wave scheduler with
-    /// `execution_threads` workers (`0` = the classic inline commit; `store_shards` selects
-    /// the backend as in [`SimpleChain::with_store_shards`]). Ledger and store outcomes are
-    /// bit-identical at every thread count.
-    pub fn with_execution_threads(
-        kind: SystemKind,
-        store_shards: usize,
-        execution_threads: usize,
-    ) -> Self {
-        Self::with_cc_config(
-            kind,
-            CcConfig {
-                store_shards,
-                execution_threads,
-                ..CcConfig::default()
-            },
-        )
-    }
-
     /// Creates a chain with an explicit concurrency-control configuration
     /// (`cc_config.store_shards` also selects the state-store backend;
     /// `cc_config.execution_threads` sizes the parallel commit scheduler).

@@ -11,8 +11,6 @@
 //! * [`focc_l`] — Focc-l: sort-based greedy batch reordering at block formation.
 //! * [`sharp`] — the trait implementation for FabricSharp (`fabricsharp-core`).
 //! * [`chain`] — `SimpleChain`, a synchronous single-node EOV pipeline for examples and tests.
-//! * [`parallel`] — `ParallelChain`, the same workflow driven over the concurrent stage
-//!   executor (sharded endorsers + committer thread) with deterministic outcomes.
 
 #![forbid(unsafe_code)]
 
@@ -22,7 +20,6 @@ pub mod fabric;
 pub mod fabricpp;
 pub mod focc_l;
 pub mod focc_s;
-pub mod parallel;
 pub mod sharp;
 
 pub use api::{
@@ -34,4 +31,3 @@ pub use fabric::FabricCC;
 pub use fabricpp::FabricPlusPlusCC;
 pub use focc_l::FoccLightCC;
 pub use focc_s::FoccSerializableCC;
-pub use parallel::ParallelChain;

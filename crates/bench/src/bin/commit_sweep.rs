@@ -162,12 +162,12 @@ fn main() {
         "E", "eff tps", "commit p50", "commit p99", "waves/b", "mean width", "widened"
     );
     for execution in [0usize, 2, 4] {
-        let mut config = SimulationConfig::parallel_commit(
+        let mut config = SimulationConfig::new(
             SystemKind::FabricSharp,
             WorkloadKind::Ycsb(YcsbProfile::b().with_write_partition(0.2)),
-            4,
-            execution,
         );
+        config.cc.store_shards = 4;
+        config.cc.execution_threads = execution;
         config.duration_s = 3.0;
         let report = Simulator::run(&config);
         println!(

@@ -5,9 +5,8 @@
 //! bit-exact ledger and store state every other commit path must reproduce. The parallel
 //! commit scheduler ([`crate::scheduler`]) executes conflict-free waves concurrently but is
 //! proven (and tested) to produce byte-identical results to these functions; the baselines
-//! crate re-exports them so the five systems and the chain facades share one implementation.
+//! crate re-exports them so the five systems and the chain facade share one implementation.
 
-use crate::pipeline::CommitOutcome;
 use eov_common::abort::AbortReason;
 use eov_common::txn::{Transaction, TxnStatus};
 use eov_common::version::SeqNo;
@@ -100,9 +99,19 @@ pub fn count_anti_rw_commits<S: StateRead>(store: &S, txns: &[Transaction]) -> u
     count
 }
 
-/// The complete validator/committer step for one block, shared by the inline and threaded
-/// commit stages: counts anti-rw-tolerant commits against the pre-block state, then either
-/// MVCC-validates (the baselines) or applies unconditionally (FabricSharp).
+/// Outcome of validating and applying one block.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CommitOutcome {
+    /// Final status of every transaction, in block order.
+    pub statuses: Vec<TxnStatus>,
+    /// Transactions that committed while reading a version that was no longer the latest
+    /// (anti-rw tolerance; only meaningful for systems that skip peer validation).
+    pub anti_rw_commits: u64,
+}
+
+/// The complete validator/committer step for one block, the serial reference the commit
+/// scheduler runs at `E = 0`: counts anti-rw-tolerant commits against the pre-block state,
+/// then either MVCC-validates (the baselines) or applies unconditionally (FabricSharp).
 pub fn commit_block<S: StateStore>(
     store: &mut S,
     block_no: u64,

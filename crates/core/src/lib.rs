@@ -12,10 +12,6 @@
 //!   restoration of the deliberately-ignored pending c-ww dependencies.
 //! * [`orderer_cc`] — [`orderer_cc::FabricSharpCC`], the controller that ties the above
 //!   together and is plugged into the ordering service (Figure 8).
-//! * [`pipeline`] — the thread-backed stage executor of the concurrent EOV pipeline: sharded
-//!   endorser workers ([`pipeline::EndorserPool`]) and the strictly ordered
-//!   validator/committer ([`pipeline::CommitWorker`]), reused by the simulator's concurrent
-//!   runner and by the `ParallelChain` facade.
 //! * [`commit`] — the serial reference committer: MVCC validation and block application in
 //!   strict block order, defining the bit-exact store/ledger state every other commit path
 //!   must reproduce.
@@ -37,7 +33,6 @@ pub mod dependency;
 pub mod endorser;
 pub mod formation;
 pub mod orderer_cc;
-pub mod pipeline;
 pub mod recovery;
 pub mod scheduler;
 pub mod serializability;
@@ -46,11 +41,11 @@ pub mod theory;
 
 pub use commit::{
     apply_without_validation, commit_block, count_anti_rw_commits, mvcc_validate_and_apply,
+    CommitOutcome,
 };
 pub use dependency::{resolve_dependencies, resolve_sharded, ResolvedDeps, ShardedResolution};
 pub use endorser::{SimulationContext, SnapshotEndorser, TxnEffects};
 pub use orderer_cc::FabricSharpCC;
-pub use pipeline::{CommitOutcome, CommitWorker, EndorseJob, EndorseLogic, EndorserPool};
 pub use recovery::{
     recover_from_disk, recover_from_ledger, ColdRecovery, RecoveryError, RecoveryReport,
 };

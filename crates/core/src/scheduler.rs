@@ -59,10 +59,9 @@
 //!
 //! `E = 0` bypasses planning entirely and runs the inline serial reference — the
 //! configuration every other `E` is tested bit-identical against
-//! (`tests/scheduler_determinism.rs`, full `S × W × E` grid).
+//! (`tests/scheduler_determinism.rs`, full `S × E` grid).
 
-use crate::commit;
-use crate::pipeline::CommitOutcome;
+use crate::commit::{self, CommitOutcome};
 use eov_common::abort::AbortReason;
 use eov_common::txn::{Transaction, TxnStatus};
 use eov_common::version::SeqNo;

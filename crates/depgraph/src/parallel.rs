@@ -23,8 +23,7 @@
 //! (`tests/scheduler_determinism.rs`).
 //!
 //! A worker that panics (a bug in a job closure) poisons the batch's result channel on its
-//! unwind path, so the caller fails fast instead of deadlocking — the same contract as the
-//! pipeline stage executor in `fabricsharp_core::pipeline`.
+//! unwind path, so the caller fails fast instead of deadlocking.
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::thread::JoinHandle;

@@ -26,12 +26,12 @@ pub enum Event {
         /// Sequence number of the request (doubles as the transaction id).
         request_no: u64,
     },
-    /// An endorsement finishes simulating at this simulated time; the driver collects the
-    /// result from the endorsement stage (which may have computed it on a sharded worker) and
-    /// broadcasts it.
+    /// An endorsement finishes simulating at this simulated time; the driver broadcasts the
+    /// endorsed transaction, which was simulated at submission against the snapshot pinned
+    /// then.
     EndorseDone {
-        /// The request whose endorsement completes (doubles as the transaction id).
-        request_no: u64,
+        /// The endorsed transaction.
+        txn: Transaction,
         /// When the client originally submitted the request.
         submitted_at: SimTime,
     },
@@ -51,8 +51,8 @@ pub enum Event {
     /// A cut block has been delivered to the validating peer.
     BlockDelivered {
         /// The block's transactions in final commit order (with `end_ts` assigned by the CC).
-        /// Shared because the commit stage's scheduler workers hold the block concurrently
-        /// with the driver; the runner unwraps (or clones) it when building the ledger block.
+        /// Shared because the commit scheduler's workers hold the block while it executes;
+        /// the runner unwraps (or clones) it when building the ledger block.
         txns: Arc<Vec<Transaction>>,
         /// Submission times of those transactions (for latency accounting), same order.
         submitted_at: Vec<SimTime>,
@@ -63,7 +63,7 @@ pub enum Event {
     BlockValidated {
         /// Ledger height this block commits at (assigned in delivery order).
         block_no: u64,
-        /// The block's transactions in final commit order (shared with the commit stage).
+        /// The block's transactions in final commit order.
         txns: Arc<Vec<Transaction>>,
         /// Submission times of those transactions, same order.
         submitted_at: Vec<SimTime>,

@@ -17,7 +17,6 @@
 
 pub mod events;
 pub mod metrics;
-mod pipeline;
 pub mod profiles;
 pub mod runner;
 

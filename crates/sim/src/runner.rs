@@ -15,24 +15,20 @@
 //! (except under FabricSharp) and commits the writes, advancing the chain that subsequent
 //! endorsements read from.
 //!
-//! The *execution* of the two heavy stages is pluggable
-//! ([`SimulationConfig::endorser_shards`]): with 0 shards everything runs inline on the driver
-//! thread (the reference mode); with `N ≥ 1` shards endorsements fan out to `N`
-//! [`fabricsharp_core::pipeline::EndorserPool`] workers and commits run on the dedicated
-//! committer thread, overlapping real CPU work with the driver. Simulated time, the consensus
-//! arrival order and the commit order stay owned by the driver, so both modes produce
-//! block-for-block identical ledgers for the same seed — asserted by the
-//! `pipeline_determinism` integration tests.
+//! Every stage runs on the driver thread: endorsement simulates against its pinned snapshot
+//! when the client submits, and the block's validation/commit runs through the
+//! [`CommitScheduler`] when the validator finishes it. Their costs are charged in simulated
+//! time, so running them on other threads could change only wall-clock, never the ledger or
+//! any reported metric.
 
 use crate::events::{ms, Event, EventQueue, SimTime};
 use crate::metrics::{FormationTiming, PipelineOccupancy, SimReport};
-use crate::pipeline::{CommitStage, EndorseStage};
 use crate::profiles::PipelineProfile;
 use eov_baselines::api::{ConcurrencyControl, SystemKind};
 use eov_common::abort::AbortReason;
 use eov_common::config::{BlockConfig, CcConfig, WorkloadParams};
 use eov_common::rwset::ReadSet;
-use eov_common::txn::{TemplateClass, Transaction, TxnId, TxnStatus};
+use eov_common::txn::{Transaction, TxnId, TxnStatus};
 use eov_common::version::SeqNo;
 use eov_ledger::durable::{DurableOptions, LedgerBackend};
 use eov_ledger::{write_checkpoint, Block, Ledger};
@@ -69,16 +65,10 @@ pub struct SimulationConfig {
     pub duration_s: f64,
     /// RNG seed for the workload generator.
     pub seed: u64,
-    /// Number of sharded endorser worker threads executing the pipeline's heavy stages.
-    /// `0` (the default) runs every stage inline on the driver thread — the reference
-    /// single-threaded mode; `N ≥ 1` spawns `N` endorser shards plus the committer thread.
-    /// Both modes produce identical ledgers for the same seed.
-    pub endorser_shards: usize,
     /// Persist the run's chain of record: when set, every appended block is also written to
     /// CRC-framed segment files under this directory (rotation and fsync per
     /// [`CcConfig::segment_rotate_kib`] / [`CcConfig::durable_fsync`]), a genesis store
-    /// checkpoint is written at seeding time, and — in inline-stage mode
-    /// (`endorser_shards == 0`) — further checkpoints every
+    /// checkpoint is written at seeding time, and further checkpoints every
     /// [`CcConfig::checkpoint_interval`] blocks. `None` (the default) keeps the run fully
     /// in-memory; the produced ledger is bit-identical either way. The directory must be
     /// fresh: resuming is the recovery path's job
@@ -88,7 +78,7 @@ pub struct SimulationConfig {
 
 impl SimulationConfig {
     /// A configuration with the paper's defaults (Fabric testbed, Table 2 defaults, 15
-    /// simulated seconds, inline stage execution).
+    /// simulated seconds).
     pub fn new(system: SystemKind, workload: WorkloadKind) -> Self {
         SimulationConfig {
             system,
@@ -99,7 +89,6 @@ impl SimulationConfig {
             profile: PipelineProfile::fabric(),
             duration_s: 15.0,
             seed: 42,
-            endorser_shards: 0,
             durability_dir: None,
         }
     }
@@ -110,37 +99,6 @@ impl SimulationConfig {
             profile: PipelineProfile::fast_fabric(),
             ..Self::new(system, workload)
         }
-    }
-
-    /// Same as [`SimulationConfig::new`] but with the concurrent pipeline (`shards` endorser
-    /// workers plus the committer thread).
-    pub fn concurrent(system: SystemKind, workload: WorkloadKind, shards: usize) -> Self {
-        SimulationConfig {
-            endorser_shards: shards,
-            ..Self::new(system, workload)
-        }
-    }
-
-    /// Same as [`SimulationConfig::new`] but with the key space partitioned across
-    /// `store_shards` store/graph shards.
-    pub fn sharded_store(system: SystemKind, workload: WorkloadKind, store_shards: usize) -> Self {
-        let mut config = Self::new(system, workload);
-        config.cc.store_shards = store_shards;
-        config
-    }
-
-    /// Same as [`SimulationConfig::sharded_store`] but committing delivered blocks through
-    /// the parallel wave scheduler with `execution_threads` workers (`0` = inline serial
-    /// reference).
-    pub fn parallel_commit(
-        system: SystemKind,
-        workload: WorkloadKind,
-        store_shards: usize,
-        execution_threads: usize,
-    ) -> Self {
-        let mut config = Self::sharded_store(system, workload, store_shards);
-        config.cc.execution_threads = execution_threads;
-        config
     }
 }
 
@@ -155,8 +113,8 @@ impl Simulator {
     }
 
     /// Runs one configuration to completion, returning the metrics *and* the ledger the run
-    /// produced — the artefact the determinism harness compares block for block across stage
-    /// backends.
+    /// produced — the artefact the determinism harnesses compare block for block across
+    /// configurations.
     pub fn run_with_ledger(config: &SimulationConfig) -> (SimReport, Ledger) {
         let (report, ledger, _) = Self::run_full(config);
         (report, ledger)
@@ -170,10 +128,10 @@ impl Simulator {
         let mut generator =
             WorkloadGenerator::new(config.workload.clone(), config.params, config.seed);
 
-        // Substrate: state store (shared with the stage backends; unsharded or key-space
-        // partitioned per `cc.store_shards`), ledger, snapshot manager, endorser, concurrency
-        // control. The same config flows into the CC so FabricSharp's graph and indices shard
-        // alongside the store.
+        // Substrate: state store (unsharded or key-space partitioned per `cc.store_shards`,
+        // behind the shared handle the commit scheduler's workers read through), ledger,
+        // snapshot manager, endorser, concurrency control. The same config flows into the CC
+        // so FabricSharp's graph and indices shard alongside the store.
         let cc_config = config.cc;
         let store: SharedStore = {
             let mut s = StoreBackend::for_shards(cc_config.store_shards);
@@ -209,21 +167,12 @@ impl Simulator {
         // is on or off — and stamped on the transaction before it reaches the CC, so the
         // knob alone decides whether the fast path activates.
         let analyzer = generator.analyzer();
-        let mut class_by_request: HashMap<u64, (TemplateClass, Option<u16>)> = HashMap::new();
         let mut safe_tagged: u64 = 0;
 
-        // Stage backends (inline for endorser_shards == 0, threaded otherwise). The commit
-        // scheduler gets the workload's static widening table: statically conflict-free
-        // template pairs share execution waves without key checks.
+        // The commit scheduler gets the workload's static widening table: statically
+        // conflict-free template pairs share execution waves without key checks.
         let widening = WideningTable::from_conflicts(&analyzer.matrix().conflicts);
-        let scheduler = CommitScheduler::with_widening(cc_config.execution_threads, widening);
-        let mut endorse_stage =
-            EndorseStage::new(config.endorser_shards, SharedStore::clone(&store), endorser);
-        let mut commit_stage = CommitStage::new(
-            config.endorser_shards > 0,
-            SharedStore::clone(&store),
-            scheduler,
-        );
+        let mut scheduler = CommitScheduler::with_widening(cc_config.execution_threads, widening);
 
         // Event loop state.
         let mut queue = EventQueue::new();
@@ -249,9 +198,8 @@ impl Simulator {
         let mut cut = CutDriver::default();
         let mut validator_windows: Vec<(SimTime, SimTime)> = Vec::new();
         let mut validator_free_at: SimTime = 0;
-        // The chain height at the driver's *logical* time. In concurrent mode the committer
-        // thread may have applied further blocks physically; the driver must never observe
-        // them early, so it mirrors the height itself instead of asking the store.
+        // The chain height at the driver's simulated time: the last block whose
+        // BlockValidated event has fired.
         let mut last_committed: u64 = 0;
         // Height assigned to the next delivered block (delivery order == commit order).
         let mut next_commit_block: u64 = 1;
@@ -282,22 +230,23 @@ impl Simulator {
                     if class.is_safe() {
                         safe_tagged += 1;
                     }
-                    class_by_request
-                        .insert(request_no, (class, analyzer.template_index(&template)));
                     let endorse_ms = profile.endorse_base_ms
                         + config.params.read_interval_ms as f64 * template.read_count() as f64;
                     let done_at = now + ms(endorse_ms);
-                    // Kick the simulation off on the endorsement stage; the result is consumed
-                    // (deterministically) when the EndorseDone event fires.
-                    endorse_stage.dispatch(
-                        request_no,
+                    // Simulate against the snapshot pinned now; the result enters the ordering
+                    // service when the EndorseDone event fires.
+                    let mut txn = endorser.simulate_at(
+                        &*store.read(),
+                        TxnId(request_no),
                         last_committed,
-                        Box::new(move |ctx| template.run(ctx)),
+                        |ctx| template.run(ctx),
                     );
+                    txn.template_class = class;
+                    txn.template_id = analyzer.template_index(&template);
                     queue.schedule(
                         done_at,
                         Event::EndorseDone {
-                            request_no,
+                            txn,
                             submitted_at: now,
                         },
                     );
@@ -311,15 +260,9 @@ impl Simulator {
                 }
 
                 Event::EndorseDone {
-                    request_no,
+                    mut txn,
                     submitted_at,
                 } => {
-                    let mut txn = endorse_stage.collect(request_no);
-                    let (class, template_id) = class_by_request
-                        .remove(&request_no)
-                        .unwrap_or((TemplateClass::Unknown, None));
-                    txn.template_class = class;
-                    txn.template_id = template_id;
                     // Under the vanilla-Fabric lock the simulation effectively ran against the
                     // latest block at completion time; re-simulate if the chain advanced.
                     if profile.endorsement_lock && txn.snapshot_block < last_committed {
@@ -398,10 +341,7 @@ impl Simulator {
                     validator_windows.push((start, validator_free_at));
                     let block_no = next_commit_block;
                     next_commit_block += 1;
-                    // Hand the block to the commit stage now (the committer thread can overlap
-                    // with the driver); its effects become visible to the driver at the
-                    // BlockValidated event.
-                    commit_stage.begin(block_no, &txns, needs_validation);
+                    // The block's effects are applied, and become visible, at BlockValidated.
                     queue.schedule(
                         validator_free_at,
                         Event::BlockValidated {
@@ -418,7 +358,7 @@ impl Simulator {
                     submitted_at,
                 } => {
                     debug_assert_eq!(block_no, ledger.height() + 1, "commit order violation");
-                    let outcome = commit_stage.finish(block_no, &txns, needs_validation);
+                    let outcome = scheduler.commit_block(&store, block_no, &txns, needs_validation);
                     // Count commits that tolerate an anti-rw dependency (a
                     // Strong-Serializability system would have aborted them); only systems
                     // without peer validation actually commit them.
@@ -426,9 +366,9 @@ impl Simulator {
                         committed_with_anti_rw += outcome.anti_rw_commits;
                     }
 
-                    // The commit stage has finished with the block, so the driver usually
-                    // holds the last Arc reference and unwraps for free; a straggling clone
-                    // (scheduler worker mid-drop) falls back to a copy.
+                    // The scheduler has finished with the block, so the driver usually holds the
+                    // last Arc reference and unwraps for free; a straggling clone (scheduler
+                    // worker mid-drop) falls back to a copy.
                     let txns = Arc::try_unwrap(txns).unwrap_or_else(|shared| (*shared).clone());
                     let mut block = Block::build(block_no, ledger.as_ledger().tip_hash(), txns);
                     let mut block_outcome: Vec<(Transaction, TxnStatus)> =
@@ -463,13 +403,8 @@ impl Simulator {
                     snapshots.register_block(block_no);
                     cc.on_block_committed(block_no, &block_outcome);
                     last_committed = block_no;
-                    // Periodic store checkpoints, inline-stage mode only: with a committer
-                    // thread running, the store could be mid-block when cloned for
-                    // serialization, so concurrent runs keep the genesis checkpoint alone
-                    // and recover by full replay.
                     if let Some(dir) = &config.durability_dir {
                         if cc_config.checkpoint_interval > 0
-                            && config.endorser_shards == 0
                             && block_no % cc_config.checkpoint_interval == 0
                         {
                             write_checkpoint(dir, &store.read(), cc_config.durable_fsync)
@@ -485,7 +420,8 @@ impl Simulator {
         for (reason, count) in cc.early_aborts() {
             *aborts.entry(reason).or_insert(0) += count;
         }
-        let (mut commit_us, wave) = commit_stage.commit_metrics();
+        let mut commit_us = scheduler.take_commit_samples();
+        let wave = scheduler.stats();
         let duration_s = (last_event_at as f64 / 1_000_000.0).max(config.duration_s);
         let committed_f = committed.max(1) as f64;
         let occupancy = PipelineOccupancy::from_windows(&cut.formation_windows, &validator_windows);
@@ -514,10 +450,9 @@ impl Simulator {
             conflict_matrix: analyzer.matrix().clone(),
             occupancy,
         };
-        // Tear down the pipeline stages (joining their worker threads) so the driver holds
-        // the only remaining reference to the store and can hand the backend out by value.
-        drop(endorse_stage);
-        drop(commit_stage);
+        // Tear down the scheduler (joining its workers) so the driver holds the only
+        // remaining reference to the store and can hand the backend out by value.
+        drop(scheduler);
         let backend = Arc::try_unwrap(store)
             .map(|lock| lock.into_inner())
             .unwrap_or_else(|shared| shared.read().clone());
@@ -685,19 +620,6 @@ mod tests {
         assert_eq!(a.committed, b.committed);
         assert_eq!(a.in_ledger, b.in_ledger);
         assert_eq!(a.blocks, b.blocks);
-    }
-
-    #[test]
-    fn concurrent_pipeline_matches_the_inline_reference() {
-        let mut config = quick_config(SystemKind::FabricSharp);
-        config.duration_s = 2.0;
-        let (inline_report, inline_ledger) = Simulator::run_with_ledger(&config);
-        config.endorser_shards = 2;
-        let (sharded_report, sharded_ledger) = Simulator::run_with_ledger(&config);
-        assert_eq!(inline_report.offered, sharded_report.offered);
-        assert_eq!(inline_report.committed, sharded_report.committed);
-        assert_eq!(inline_report.blocks, sharded_report.blocks);
-        assert_eq!(inline_ledger.tip_hash(), sharded_ledger.tip_hash());
     }
 
     /// `cc` is the only home of the engine knobs: a caller's `cc.store_shards` must reach the

@@ -13,9 +13,9 @@
 //!   ordered in-memory maps exposing the same query surface (`Before`, `Last`, range-from).
 //! * [`pending`] — the in-memory `PendingWriteTxns` (PW) / `PendingReadTxns` (PR) indices over
 //!   the not-yet-ordered transactions.
-//! * [`shared`] — the [`shared::SharedStore`] handle used by the concurrent pipeline to share
-//!   one store between endorser shards (readers) and the committer (writer), plus the
-//!   compile-time `Send + Sync` audit of every stage-crossing substrate type.
+//! * [`shared`] — the [`shared::SharedStore`] handle through which the parallel commit
+//!   scheduler's workers read a block's state, plus the compile-time `Send + Sync` audit of
+//!   every substrate type behind it.
 //! * [`state`] — the [`state::StateRead`] / [`state::StateStore`] traits every backend
 //!   implements, so the endorsement and commit paths are backend-agnostic.
 //! * [`sharded`] — the key-space sharding layer: [`sharded::ShardedStore`] partitions the
@@ -41,7 +41,7 @@ pub use index::{CommittedReadIndex, CommittedWriteIndex};
 pub use mvstore::{MultiVersionStore, VersionedValue};
 pub use pending::PendingIndex;
 pub use sharded::{ShardedIndices, ShardedStore};
-pub use shared::{into_shared, into_shared_backend, SharedStore, StoreBackend};
+pub use shared::{into_shared_backend, SharedStore, StoreBackend};
 pub use snapshot::{SnapshotManager, SnapshotView};
 pub use state::{StateRead, StateStore};
 pub use timetravel::TimeTravel;

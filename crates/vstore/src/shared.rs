@@ -1,23 +1,22 @@
-//! Shared-store handles for the concurrent pipeline.
+//! The shared state-store handle.
 //!
-//! The concurrent EOV pipeline (sharded endorsers, threaded committer) shares one state
-//! backend between stages: endorser workers take the read lock and simulate against *pinned
-//! block snapshots* while the single committer thread takes the write lock to install the next
-//! block's versions. Because the store is multi-versioned and snapshot reads
-//! ([`MultiVersionStore::read_at`]) only ever consult versions at or below the pinned block,
-//! a simulation's result is unaffected by later versions being appended concurrently — which
-//! is precisely the Section 4.2 argument for replacing vanilla Fabric's endorsement
-//! read-write lock with storage snapshots.
+//! The parallel commit scheduler (`fabricsharp_core::scheduler`) probes a wave from worker
+//! threads under the read lock and applies it under the write lock, so the simulator, the
+//! chain facade and the scheduler hand the state backend around as one [`SharedStore`].
+//! Endorsement reads pinned *block snapshots* ([`MultiVersionStore::read_at`] never consults
+//! versions above the pinned block), so a simulation's result does not depend on versions
+//! appended after the pin — the Section 4.2 argument for replacing vanilla Fabric's
+//! endorsement read-write lock with storage snapshots.
 //!
-//! Since the key-space sharding refactor the shared handle wraps a [`StoreBackend`]: either
-//! the unsharded [`MultiVersionStore`] or the partitioned [`crate::sharded::ShardedStore`].
-//! Both expose the same [`StateRead`]/[`StateStore`] surface and, for the same writes, answer
-//! every read identically, so the pipeline stages are oblivious to which backend runs below
-//! them (asserted end-to-end by `tests/sharding_determinism.rs`).
+//! The handle wraps a [`StoreBackend`]: either the unsharded [`MultiVersionStore`] or the
+//! partitioned [`crate::sharded::ShardedStore`]. Both expose the same
+//! [`StateRead`]/[`StateStore`] surface and, for the same writes, answer every read
+//! identically, so callers are oblivious to which backend runs below them (asserted
+//! end-to-end by `tests/sharding_determinism.rs`).
 //!
 //! This module is the concurrency-audit companion to [`crate::snapshot`]: it pins down, at
-//! compile time, that every substrate type crossing a stage boundary is `Send + Sync`, and its
-//! tests hammer the snapshot manager and a shared store from multiple threads.
+//! compile time, that every substrate type behind the handle is `Send + Sync`, and its tests
+//! hammer the snapshot manager and a shared store from multiple threads.
 
 use crate::mvstore::{MultiVersionStore, VersionedValue};
 use crate::sharded::ShardedStore;
@@ -148,21 +147,16 @@ impl StateStore for StoreBackend {
     }
 }
 
-/// A state backend shared between pipeline stages: endorser shards read (snapshot reads at
-/// pinned heights), the committer writes (appends the next block's versions).
+/// A state backend shared with the commit scheduler's workers: they probe a wave under the
+/// read lock, and the block's writes are applied under the write lock.
 pub type SharedStore = Arc<RwLock<StoreBackend>>;
 
-/// Wraps an unsharded store for sharing across pipeline stages.
-pub fn into_shared(store: MultiVersionStore) -> SharedStore {
-    into_shared_backend(StoreBackend::Unsharded(store))
-}
-
-/// Wraps any backend (unsharded or key-space sharded) for sharing across pipeline stages.
+/// Wraps any backend (unsharded or key-space sharded) in the shared handle.
 pub fn into_shared_backend(store: StoreBackend) -> SharedStore {
     Arc::new(RwLock::new(store))
 }
 
-/// Compile-time audit: every substrate type handed across pipeline stage boundaries must be
+/// Compile-time audit: every substrate type reachable from the shared handle must be
 /// shareable between threads. A regression here (e.g. an `Rc` or a raw pointer sneaking into
 /// the store) fails the build, not a stress test.
 const _: () = {

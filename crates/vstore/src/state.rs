@@ -6,8 +6,8 @@
 //! [`StateStore`] adds the commit-path mutations (versioned puts, height advancement, version
 //! GC). [`crate::mvstore::MultiVersionStore`] implements both by delegating to its inherent
 //! methods; [`crate::sharded::ShardedStore`] implements them by key fan-out; and the
-//! [`crate::shared::StoreBackend`] enum dispatches between the two so the concurrent pipeline
-//! keeps a single concrete shared-store type.
+//! [`crate::shared::StoreBackend`] enum dispatches between the two so the shared handle keeps
+//! a single concrete store type.
 
 use crate::mvstore::{MultiVersionStore, VersionedValue};
 use eov_common::error::Result;

@@ -267,7 +267,13 @@ fn rescued_instance_ledger_recovers_identically_from_disk() {
     let kind = WorkloadKind::Ycsb(YcsbProfile::b().with_write_partition(0.25));
     let mut generator = WorkloadGenerator::new(kind.clone(), params, seed);
     let analyzer = generator.analyzer();
-    let mut chain = SimpleChain::with_template_fastpath(SystemKind::FabricSharp, 0, true);
+    let mut chain = SimpleChain::with_cc_config(
+        SystemKind::FabricSharp,
+        CcConfig {
+            template_fastpath: true,
+            ..CcConfig::default()
+        },
+    );
     chain.seed(generator.genesis());
 
     let dir = temp_dir("rescued");

@@ -10,7 +10,7 @@
 //! maximal cross-shard pressure.
 
 use fabricsharp::baselines::{SimpleChain, SystemKind};
-use fabricsharp::common::config::WorkloadParams;
+use fabricsharp::common::config::{CcConfig, WorkloadParams};
 use fabricsharp::core::serializability::is_serializable;
 use fabricsharp::sim::runner::{SimulationConfig, Simulator};
 use fabricsharp::sim::SimReport;
@@ -143,7 +143,13 @@ fn decisions_commit_orders_and_verdicts_match_under_full_cross_shard_pressure() 
     let mut generator = WorkloadGenerator::new(workload, params, 99);
 
     let mut reference = SimpleChain::new(SystemKind::FabricSharp);
-    let mut sharded = SimpleChain::with_store_shards(SystemKind::FabricSharp, 4);
+    let mut sharded = SimpleChain::with_cc_config(
+        SystemKind::FabricSharp,
+        CcConfig {
+            store_shards: 4,
+            ..CcConfig::default()
+        },
+    );
     for chain in [&mut reference, &mut sharded] {
         chain.seed(generator.genesis());
     }

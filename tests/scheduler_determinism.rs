@@ -12,9 +12,9 @@
 //! cross-shard YCSB-F mix (maximal conflict pressure, frequent single-txn waves and serial
 //! fallbacks).
 
-use fabricsharp::baselines::{ParallelChain, SimpleChain, SystemKind};
-use fabricsharp::common::config::WorkloadParams;
-use fabricsharp::core::pipeline::EndorseLogic;
+use fabricsharp::baselines::{SimpleChain, SystemKind};
+use fabricsharp::common::config::{CcConfig, WorkloadParams};
+use fabricsharp::common::txn::{CommitDecision, TxnId};
 use fabricsharp::sim::runner::{SimulationConfig, Simulator};
 use fabricsharp::sim::SimReport;
 use fabricsharp::workload::generator::{TxnTemplate, WorkloadGenerator, WorkloadKind};
@@ -166,9 +166,10 @@ fn ledgers_and_stores_are_bit_identical_at_every_execution_thread_count() {
     }
 }
 
-/// Transaction-level pinning on the chain harnesses: `SimpleChain` and `ParallelChain` driven
-/// in lockstep at `E ∈ {0, 2}` must agree on every decision, every block's commit order and
-/// the chain hashes — and the scheduling chains must actually have planned waves.
+/// Transaction-level pinning on the chain harness: `SimpleChain` driven in lockstep at
+/// `E ∈ {0, 2}`, once per transaction and once in batches endorsed against one snapshot, must
+/// agree on every decision, every block's commit order and the chain hashes — and the
+/// scheduling chains must actually have planned waves.
 #[test]
 fn chain_harnesses_match_the_serial_commit_at_every_execution_thread_count() {
     let workload = WorkloadKind::Ycsb(YcsbProfile::f().with_cross_shard(4, 1.0));
@@ -179,7 +180,17 @@ fn chain_harnesses_match_the_serial_commit_at_every_execution_thread_count() {
     let mut generator = WorkloadGenerator::new(workload, params, 99);
 
     let mut reference = SimpleChain::new(SystemKind::FabricSharp);
-    let mut simple_waved = SimpleChain::with_execution_threads(SystemKind::FabricSharp, 4, 2);
+    let chain = |execution_threads| {
+        SimpleChain::with_cc_config(
+            SystemKind::FabricSharp,
+            CcConfig {
+                store_shards: 4,
+                execution_threads,
+                ..CcConfig::default()
+            },
+        )
+    };
+    let mut simple_waved = chain(2);
     reference.seed(generator.genesis());
     simple_waved.seed(generator.genesis());
 
@@ -215,19 +226,9 @@ fn chain_harnesses_match_the_serial_commit_at_every_execution_thread_count() {
         "the waved chain must actually have scheduled transactions"
     );
 
-    // ParallelChain batch drive: same template stream through a serial-commit chain and a
-    // wave-scheduled chain (sharded endorsement + threaded committer on both); every block's
-    // commit order and the final chain hashes must agree.
-    fn to_logic(templates: &[TxnTemplate]) -> Vec<EndorseLogic> {
-        templates
-            .iter()
-            .cloned()
-            .map(|t| {
-                let logic: EndorseLogic = Box::new(move |ctx| t.run(ctx));
-                logic
-            })
-            .collect()
-    }
+    // Batch drive: each 10-txn batch is endorsed against one snapshot, then submitted in
+    // batch order, through a serial-commit chain and a wave-scheduled chain (both S4); every
+    // decision, every block's commit order and the final chain hashes must agree.
     let mut generator = WorkloadGenerator::new(
         WorkloadKind::Ycsb(YcsbProfile::f().with_cross_shard(4, 1.0)),
         WorkloadParams {
@@ -236,37 +237,48 @@ fn chain_harnesses_match_the_serial_commit_at_every_execution_thread_count() {
         },
         99,
     );
-    let mut parallel_serial =
-        ParallelChain::with_execution_threads(SystemKind::FabricSharp, 2, 4, 0);
-    let mut parallel_waved =
-        ParallelChain::with_execution_threads(SystemKind::FabricSharp, 2, 4, 2);
-    parallel_serial.seed(generator.genesis());
-    parallel_waved.seed(generator.genesis());
+    let mut batch_serial = chain(0);
+    let mut batch_waved = chain(2);
+    batch_serial.seed(generator.genesis());
+    batch_waved.seed(generator.genesis());
+    fn submit_batch(
+        chain: &mut SimpleChain,
+        batch: &[TxnTemplate],
+    ) -> Vec<(TxnId, CommitDecision)> {
+        let snapshot = chain.ledger().height();
+        let txns: Vec<_> = batch
+            .iter()
+            .map(|t| chain.execute_at(snapshot, |ctx| t.run(ctx)))
+            .collect();
+        txns.into_iter()
+            .map(|txn| (txn.id, chain.submit(txn)))
+            .collect()
+    }
     for _ in 0..12 {
         let batch: Vec<TxnTemplate> = (0..10).map(|_| generator.next_template()).collect();
-        let decisions_serial = parallel_serial.submit_batch(to_logic(&batch));
-        let decisions_waved = parallel_waved.submit_batch(to_logic(&batch));
+        let decisions_serial = submit_batch(&mut batch_serial, &batch);
+        let decisions_waved = submit_batch(&mut batch_waved, &batch);
         assert_eq!(
             decisions_serial, decisions_waved,
             "early decisions diverged"
         );
-        let report_serial = parallel_serial.seal_block();
-        let report_waved = parallel_waved.seal_block();
+        let report_serial = batch_serial.seal_block();
+        let report_waved = batch_waved.seal_block();
         assert_eq!(
             report_serial.committed, report_waved.committed,
-            "ParallelChain commit order diverged at block {:?}",
+            "batched commit order diverged at block {:?}",
             report_serial.block_number
         );
     }
     assert_eq!(
-        parallel_serial.ledger().tip_hash(),
-        parallel_waved.ledger().tip_hash(),
-        "ParallelChain E=0 vs E=2 tip hash"
+        batch_serial.ledger().tip_hash(),
+        batch_waved.ledger().tip_hash(),
+        "batched E=0 vs E=2 tip hash"
     );
-    assert!(parallel_serial.ledger().committed_txn_count() > 0);
+    assert!(batch_serial.ledger().committed_txn_count() > 0);
     assert!(
-        parallel_waved.wave_stats().scheduled_txns > 0,
-        "the waved parallel chain must actually have scheduled transactions"
+        batch_waved.wave_stats().scheduled_txns > 0,
+        "the waved batch chain must actually have scheduled transactions"
     );
 }
 

@@ -4,13 +4,12 @@
 //! per-shard dependency graphs behind the cross-shard coordinator) must be *observably
 //! identical* to the unsharded reference: same seed → same ledger, block for block, hash for
 //! hash, for every shard count. This is the replication requirement of Section 3.5 extended
-//! along a second axis — `tests/pipeline_determinism.rs` proves it for endorser shards, this
-//! harness proves it for store/graph shards, including workloads engineered to maximise
-//! cross-shard (border) transactions. Every grid point asserts ledger, store and report
+//! to store/graph shards, including workloads engineered to maximise cross-shard (border)
+//! transactions. Every grid point asserts ledger, store and report
 //! identity.
 
 use fabricsharp::baselines::{SimpleChain, SystemKind};
-use fabricsharp::common::config::WorkloadParams;
+use fabricsharp::common::config::{CcConfig, WorkloadParams};
 use fabricsharp::core::serializability::is_serializable;
 use fabricsharp::sim::runner::{SimulationConfig, Simulator};
 use fabricsharp::sim::SimReport;
@@ -120,20 +119,6 @@ fn sharded_runs_reproduce_the_unsharded_ledger_for_every_system() {
     }
 }
 
-/// Store sharding composes with endorser sharding: the two knobs together still reproduce the
-/// all-inline, unsharded reference ledger.
-#[test]
-fn store_shards_compose_with_endorser_shards() {
-    let reference_cfg = base_config(SystemKind::FabricSharp, WorkloadKind::ModifiedSmallbank, 7);
-    let (reference_report, reference_ledger) = Simulator::run_with_ledger(&reference_cfg);
-    let mut cfg = reference_cfg.clone();
-    cfg.cc.store_shards = 2;
-    cfg.endorser_shards = 2;
-    let (report, ledger) = Simulator::run_with_ledger(&cfg);
-    assert_reports_match("store2+endorser2", &reference_report, &report);
-    assert_eq!(reference_ledger.tip_hash(), ledger.tip_hash());
-}
-
 /// A workload where *every* transaction is cross-shard (the worst case for the coordinator)
 /// still produces the reference ledger, and actually exercises border transactions.
 #[test]
@@ -178,7 +163,13 @@ fn smallbank_oracle_passes_with_cross_shard_transactions() {
         let mut generator = WorkloadGenerator::new(workload.clone(), params, 99);
         let mut reference = SimpleChain::new(SystemKind::FabricSharp);
         reference.seed(generator.genesis());
-        let mut sharded = SimpleChain::with_store_shards(SystemKind::FabricSharp, 2);
+        let mut sharded = SimpleChain::with_cc_config(
+            SystemKind::FabricSharp,
+            CcConfig {
+                store_shards: 2,
+                ..CcConfig::default()
+            },
+        );
         sharded.seed(generator.genesis());
 
         for i in 0..120usize {

@@ -11,8 +11,7 @@
 //! safe-fresh-writer (CreateAccount), instance-rescued (write-partitioned YCSB-B: read
 //! arrivals whose sampled keys miss the write tail are safe even though their template is
 //! not), and all-unknown (YCSB-A, ModifiedSmallbank — the knob must be perfectly inert)
-//! mixes. It also pins the knob's composition with `endorser_shards`, transaction-level
-//! decisions through `SimpleChain`, the structural claim that the fast path actually engages
+//! mixes. It also pins transaction-level decisions through `SimpleChain`, the structural claim that the fast path actually engages
 //! (graph stays empty on read-only traffic), and — via a randomized proptest over partition
 //! geometry — that instance-safe bypass preserves the raw orderer's commit sequence exactly.
 
@@ -137,29 +136,6 @@ fn fastpath_ledgers_are_bit_identical_across_the_grid() {
     }
 }
 
-/// The fast path composes with the other concurrency knobs: endorser worker shards and store
-/// shards together with `template_fastpath` still reproduce the all-off inline reference
-/// ledger.
-#[test]
-fn fastpath_composes_with_endorser_shards() {
-    for (name, workload) in workloads() {
-        let reference_cfg = base_config(SystemKind::FabricSharp, workload, 7);
-        let (reference_report, reference_ledger) = Simulator::run_with_ledger(&reference_cfg);
-        let mut cfg = reference_cfg.clone();
-        cfg.cc.template_fastpath = true;
-        cfg.cc.store_shards = 2;
-        cfg.endorser_shards = 2;
-        let (report, ledger) = Simulator::run_with_ledger(&cfg);
-        let context = format!("{name}/fastpath+store2+endorser2");
-        assert_reports_match(&context, &reference_report, &report);
-        assert_eq!(
-            reference_ledger.tip_hash(),
-            ledger.tip_hash(),
-            "{context}: tip hash"
-        );
-    }
-}
-
 /// Transaction-level pinning through the `SimpleChain` facade: on a mix that interleaves safe
 /// (read-only YCSB-C) and generic traffic, every submission's decision, every block's commit
 /// order, the chain hashes and the early-abort sequences must agree between the fastpath-off
@@ -184,10 +160,19 @@ fn decisions_and_commit_orders_match_transaction_for_transaction() {
         let mut generator = WorkloadGenerator::new(workload, params, 99);
         let analyzer = generator.analyzer();
 
-        let mut reference = SimpleChain::with_template_fastpath(SystemKind::FabricSharp, 0, false);
-        let mut fast = SimpleChain::with_template_fastpath(SystemKind::FabricSharp, 0, true);
-        let mut fast_sharded =
-            SimpleChain::with_template_fastpath(SystemKind::FabricSharp, 2, true);
+        let chain = |store_shards, template_fastpath| {
+            SimpleChain::with_cc_config(
+                SystemKind::FabricSharp,
+                CcConfig {
+                    store_shards,
+                    template_fastpath,
+                    ..CcConfig::default()
+                },
+            )
+        };
+        let mut reference = chain(0, false);
+        let mut fast = chain(0, true);
+        let mut fast_sharded = chain(2, true);
         for chain in [&mut reference, &mut fast, &mut fast_sharded] {
             chain.seed(generator.genesis());
         }

@@ -43,7 +43,13 @@ fn build_ledger(
     };
     let mut generator = WorkloadGenerator::new(kind, params, seed);
     let analyzer = generator.analyzer();
-    let mut chain = SimpleChain::with_template_fastpath(SystemKind::FabricSharp, 0, fastpath);
+    let mut chain = SimpleChain::with_cc_config(
+        SystemKind::FabricSharp,
+        CcConfig {
+            template_fastpath: fastpath,
+            ..CcConfig::default()
+        },
+    );
     chain.seed(generator.genesis());
     for i in 0..num_txns {
         let template = generator.next_template();

@@ -2,9 +2,9 @@
 //!
 //! * `lint-determinism` — static lint over the ledger-order-affecting modules (see
 //!   [`SCAN_ROOTS`]: the dependency graph, the orderer's arrival/formation paths, the shard
-//!   coordinator, the wave-commit scheduler, the simulator's event loop / pipeline
-//!   stages, and — since the ledger is persisted byte-for-byte — the durable ledger codec,
-//!   checkpoint writer and the versioned store they serialise). Fails on iteration over
+//!   coordinator, the wave-commit scheduler, the simulator's event loop, and — since the
+//!   ledger is persisted byte-for-byte — the durable ledger codec, checkpoint writer and the
+//!   versioned store they serialise). Fails on iteration over
 //!   `HashMap`/`HashSet` bindings (`.iter()`, `.keys()`, `.values()`, `.drain()`,
 //!   `for … in &map`, …) outside an explicit allowlist. Hash iteration order is seeded per
 //!   process, so any such loop whose effects reach the commit order reintroduces exactly the

@@ -13,7 +13,7 @@
 //!    nanoseconds plus the speedup over the `E = 0` serial reference of the same `S`.
 //! 2. **End-to-end** — the simulator's measured per-block validate/commit wall-clock and wave
 //!    statistics for FabricSharp on write-partitioned YCSB-B at every `E` (the ledger is
-//!    bit-identical at every point — see `tests/scheduler_determinism.rs`).
+//!    bit-identical at every point — see `tests/determinism_lattice.rs`).
 
 use eov_baselines::api::SystemKind;
 use eov_bench::banner;

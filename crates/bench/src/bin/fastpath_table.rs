@@ -13,7 +13,7 @@
 //! the instance-level rescue — read instances whose sampled keys provably miss the write tail
 //! are safe even though the read template itself is not; unpartitioned YCSB-A/B/F and the
 //! Smallbank mixes classify unknown throughout, so their numbers must stay at ~1.0× (the knob
-//! is inert there — and the `template_fastpath_determinism` battery pins that the ledgers are
+//! is inert there — and `tests/determinism_lattice.rs` pins that the ledgers are
 //! bit-identical either way). This binary produces the BASELINES.md "Template fast path"
 //! table.
 

@@ -7,7 +7,7 @@
 //! Runs the FabricSharp simulator at S = 0 (unsharded reference), 1, 2 and 4 store/graph
 //! shards over workloads of increasing cross-shard pressure, and prints the measured
 //! (wall-clock) per-transaction arrival cost and per-block formation latency. Every row of a
-//! workload commits the identical ledger (the `sharding_determinism` guarantee), so the
+//! workload commits the identical ledger (checked by `tests/determinism_lattice.rs`), so the
 //! numbers isolate exactly what the sharded engine and its cross-shard coordinator cost — or
 //! save — on a single thread. This binary produces the BASELINES.md sharding table.
 

@@ -66,22 +66,23 @@ pub struct CcConfig {
     /// Number of key-space shards for the multi-version store, the CW/CR/PW/PR indices and the
     /// dependency graph. `0` (the default) runs the unsharded reference engine; `S >= 1` runs
     /// `S` per-shard stores/graphs behind the cross-shard coordinator. Any value produces
-    /// bit-for-bit the same ledgers (asserted by `tests/sharding_determinism.rs`); the knob
-    /// trades single-path simplicity for independently scalable shards.
+    /// bit-for-bit the same ledgers (asserted by `tests/determinism_lattice.rs`). Shards run
+    /// inline, one after another, on the calling thread: the knob partitions the data into
+    /// smaller per-shard graphs and indices and adds no parallelism.
     pub store_shards: usize,
     /// When `true`, transactions tagged [`crate::txn::TemplateClass::Safe`] by the workload's
     /// template static analysis bypass dependency-graph insertion, cycle probing and
     /// ww-restore entirely — they are spliced into the committed order at their arrival
     /// position. `false` (the default) ignores the tag and runs the reference path. Either
     /// setting produces bit-for-bit the same ledgers, orders and verdicts (asserted by
-    /// `tests/template_fastpath_determinism.rs`).
+    /// `tests/determinism_lattice.rs`).
     pub template_fastpath: bool,
     /// Number of worker threads the parallel commit scheduler
     /// (`fabricsharp_core::scheduler`) executes each commit wave on. `0` (the default) runs
     /// the inline reference committer (serial validate-and-apply, no wave planning);
     /// `E >= 1` plans conflict-free waves over the committed order and executes them on an
     /// `E`-thread pool with per-wave barriers. Every `E` produces bit-for-bit the same
-    /// ledgers and store states (asserted by `tests/scheduler_determinism.rs`).
+    /// ledgers and store states (asserted by `tests/determinism_lattice.rs`).
     pub execution_threads: usize,
     /// Size (in KiB) at which the durable ledger rotates to a new segment file. Only consulted
     /// when a durable ledger directory is configured; the in-memory reference ledger ignores

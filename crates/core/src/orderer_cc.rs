@@ -29,7 +29,7 @@ use std::collections::HashMap;
 /// the unsharded reference engine, `S >= 1` selects `S` per-shard graphs and index partitions
 /// behind the cross-shard coordinator. Every algorithm below is written once against that
 /// surface, and both configurations produce bit-identical decisions (asserted end to end by
-/// `tests/sharding_determinism.rs`).
+/// `tests/determinism_lattice.rs`).
 #[derive(Debug)]
 pub struct FabricSharpCC {
     pub(crate) config: CcConfig,

@@ -59,7 +59,7 @@
 //!
 //! `E = 0` bypasses planning entirely and runs the inline serial reference — the
 //! configuration every other `E` is tested bit-identical against
-//! (`tests/scheduler_determinism.rs`, full `S × E` grid).
+//! (`tests/determinism_lattice.rs`, full `S × E` grid).
 
 use crate::commit::{self, CommitOutcome};
 use eov_common::abort::AbortReason;

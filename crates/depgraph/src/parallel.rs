@@ -20,7 +20,7 @@
 //! invisible to the caller. Combined with the jobs operating on disjoint resources, a
 //! parallel batch is observably identical to running the same closures sequentially in any
 //! order, which is the foundation of the `E`-independence commit guarantee
-//! (`tests/scheduler_determinism.rs`).
+//! (`tests/determinism_lattice.rs`).
 //!
 //! A worker that panics (a bug in a job closure) poisons the batch's result channel on its
 //! unwind path, so the caller fails fast instead of deadlocking.

@@ -23,7 +23,7 @@
 //! maintaining equal reach *sets* yields bit-identical filters — so the arrival-time cycle
 //! probe returns the same verdict (including the same false positives) as the unsharded graph,
 //! and the topological order (same closure relation, same arrival tie-break) is identical.
-//! That is the foundation of the `sharding_determinism` ledger-identity guarantee, and the
+//! That is the foundation of the ledger identity `tests/determinism_lattice.rs` checks, and the
 //! module's property tests pin it directly against a global reference graph.
 //!
 //! # Coordinator scratch

@@ -55,8 +55,7 @@ pub struct SimulationConfig {
     /// Concurrency-control and engine parameters. FabricSharp reads all of them; for every
     /// system `cc.store_shards` partitions the state store across key-space shards and
     /// `cc.execution_threads` sizes the parallel commit scheduler (both produce identical
-    /// ledgers at every value — asserted by `tests/sharding_determinism.rs` and
-    /// `tests/scheduler_determinism.rs`).
+    /// ledgers at every value — asserted by `tests/determinism_lattice.rs`).
     pub cc: CcConfig,
     /// Pipeline cost profile (Fabric or FastFabric testbed).
     pub profile: PipelineProfile,
@@ -113,7 +112,7 @@ impl Simulator {
     }
 
     /// Runs one configuration to completion, returning the metrics *and* the ledger the run
-    /// produced — the artefact the determinism harnesses compare block for block across
+    /// produced — the artefact the determinism lattice compares block for block across
     /// configurations.
     pub fn run_with_ledger(config: &SimulationConfig) -> (SimReport, Ledger) {
         let (report, ledger, _) = Self::run_full(config);
@@ -121,8 +120,8 @@ impl Simulator {
     }
 
     /// Runs one configuration to completion, returning the metrics, the ledger *and* the
-    /// final state-store backend — the store is what the scheduler determinism harness
-    /// compares byte for byte (via `Debug` formatting) across execution-thread counts.
+    /// final state-store backend — the store is what the determinism lattice compares byte
+    /// for byte (via `Debug` formatting) across execution-thread counts.
     pub fn run_full(config: &SimulationConfig) -> (SimReport, Ledger, StoreBackend) {
         let profile = PipelineProfile::for_system(config.profile, config.system);
         let mut generator =

@@ -5,9 +5,10 @@
 //! (put, latest, snapshot read) route to the owning shard, whole-store operations (pruning,
 //! height advancement, counts) visit every shard. Because the store is a pure data partition —
 //! no key ever lives in two shards — every read returns bit-for-bit what the unsharded store
-//! would return, which is the foundation of the `sharding_determinism` ledger-identity
-//! guarantee. The same argument covers the indices: CW/CR/PW/PR are per-key maps, so routing
-//! each key to its shard's index partitions the map without changing any per-key answer.
+//! would return, which is the foundation of the ledger-identity guarantee the determinism
+//! lattice (`tests/determinism_lattice.rs`) checks. The same argument covers the indices:
+//! CW/CR/PW/PR are per-key maps, so routing each key to its shard's index partitions the map
+//! without changing any per-key answer.
 
 use crate::index::{CommittedReadIndex, CommittedWriteIndex};
 use crate::mvstore::{MultiVersionStore, VersionedValue};
@@ -289,7 +290,7 @@ mod tests {
     }
 
     /// The sharded store must answer every read exactly like an unsharded store fed the same
-    /// writes — the data-partition identity the determinism harness builds on.
+    /// writes — the data-partition identity the determinism lattice builds on.
     #[test]
     fn sharded_reads_match_the_unsharded_reference() {
         let mut reference = MultiVersionStore::new();

@@ -12,7 +12,7 @@
 //! partitioned [`crate::sharded::ShardedStore`]. Both expose the same
 //! [`StateRead`]/[`StateStore`] surface and, for the same writes, answer every read
 //! identically, so callers are oblivious to which backend runs below them (asserted
-//! end-to-end by `tests/sharding_determinism.rs`).
+//! end-to-end by `tests/determinism_lattice.rs`).
 //!
 //! This module is the concurrency-audit companion to [`crate::snapshot`]: it pins down, at
 //! compile time, that every substrate type behind the handle is `Send + Sync`, and its tests

@@ -14,13 +14,14 @@
 //!    including on an *instance-rescued* ledger (write-partitioned YCSB-B), where untracked
 //!    fastpath commits interleave with graph-inserted ones inside every block.
 
+mod support;
+
 use fabricsharp::baselines::{SimpleChain, SystemKind};
 use fabricsharp::common::config::{CcConfig, WorkloadParams};
 use fabricsharp::common::rwset::{Key, Value};
 use fabricsharp::common::txn::{TemplateClass, Transaction};
 use fabricsharp::common::version::SeqNo;
 use fabricsharp::core::recovery::{recover_from_disk, recover_from_ledger, ColdRecovery};
-use fabricsharp::core::FabricSharpCC;
 use fabricsharp::ledger::durable::{DurableLedger, DurableOptions};
 use fabricsharp::ledger::{write_checkpoint, Ledger};
 use fabricsharp::sim::{SimulationConfig, Simulator};
@@ -29,19 +30,10 @@ use fabricsharp::workload::generator::{WorkloadGenerator, WorkloadKind};
 use fabricsharp::workload::YcsbProfile;
 use proptest::prelude::*;
 use std::path::PathBuf;
+use support::{assert_controllers_equivalent, prefix_of, temp_dir};
 
 const STORE_SHARDS: [usize; 3] = [0, 2, 4];
 const EXECUTION_THREADS: [usize; 2] = [0, 2];
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "eov-cold-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn sim_config(shards: usize, execution: usize, seed: u64) -> SimulationConfig {
     let mut config = SimulationConfig::new(
@@ -90,46 +82,6 @@ fn tear_tail(dir: &PathBuf, chopped: u64) {
         .unwrap()
         .set_len(len - cut)
         .unwrap();
-}
-
-/// The in-memory prefix of `reference` up to `height`.
-fn prefix_of(reference: &Ledger, height: u64) -> Ledger {
-    let mut prefix = Ledger::new();
-    for block in reference.iter().take(height as usize) {
-        prefix.append(block.clone()).unwrap();
-    }
-    prefix
-}
-
-/// Asserts the disk-recovered controller is equivalent to the in-memory-replayed one: same
-/// resume block, same verdicts on fresh arrivals, same next cut.
-fn assert_controllers_equivalent(
-    mut from_disk: FabricSharpCC,
-    mut from_memory: FabricSharpCC,
-    probes: impl IntoIterator<Item = Transaction>,
-    context: &str,
-) {
-    assert_eq!(
-        from_disk.next_block(),
-        from_memory.next_block(),
-        "{context}"
-    );
-    for (i, probe) in probes.into_iter().enumerate() {
-        let d_disk = from_disk.on_arrival(probe.clone()).is_accept();
-        let d_mem = from_memory.on_arrival(probe).is_accept();
-        assert_eq!(d_disk, d_mem, "{context}: probe {i} diverged");
-    }
-    let cut_disk: Vec<_> = from_disk
-        .cut_block()
-        .iter()
-        .map(|t| (t.id, t.end_ts))
-        .collect();
-    let cut_mem: Vec<_> = from_memory
-        .cut_block()
-        .iter()
-        .map(|t| (t.id, t.end_ts))
-        .collect();
-    assert_eq!(cut_disk, cut_mem, "{context}: post-recovery cut diverged");
 }
 
 /// Smallbank probes against the recovered tip: a stale read-write pair and a fresh writer.

@@ -15,6 +15,8 @@
 //! 5. `value_as_of` / `history_range` / `provenance` on the cold-recovered state match an
 //!    oracle that replays the reference ledger block by block.
 
+mod support;
+
 use fabricsharp::baselines::{SimpleChain, SystemKind};
 use fabricsharp::common::config::{CcConfig, WorkloadParams};
 use fabricsharp::common::rwset::Key;
@@ -24,19 +26,10 @@ use fabricsharp::ledger::{provenance, write_checkpoint, Ledger, LedgerError};
 use fabricsharp::vstore::{StateRead, StateStore, StoreBackend, TimeTravel};
 use fabricsharp::workload::generator::{WorkloadGenerator, WorkloadKind};
 use proptest::prelude::*;
-use std::path::{Path, PathBuf};
+use std::path::Path;
+use support::temp_dir;
 
 const NUM_ACCOUNTS: usize = 24;
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "eov-dlt-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn workload(seed: u64) -> WorkloadGenerator {
     let params = WorkloadParams {

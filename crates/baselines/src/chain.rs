@@ -56,7 +56,7 @@ impl SimpleChain {
     }
 
     /// Creates a chain with an explicit concurrency-control configuration
-    /// (`cc_config.store_shards` also selects the state-store backend;
+    /// (`cc_config.store_shards` selects the state-store backend;
     /// `cc_config.execution_threads` sizes the parallel commit scheduler).
     pub fn with_cc_config(kind: SystemKind, cc_config: CcConfig) -> Self {
         let snapshots = SnapshotManager::new();

@@ -8,8 +8,8 @@
 //! Re-times the `graph_commit_path` operations, the `reachability_engine` group
 //! (`topo_sort_pending` / `would_close_cycle`, dense engine vs the retained naive reference)
 //! and the whole-orderer arrival + formation path — including the ww-restoration-heavy input
-//! (unsharded and sharded `S=4` variants) and the sharded (`store_shards = 2`) vs unsharded
-//! engines — with a median-of-runs harness, then compares each median against
+//! (at `store_shards` 0 and 4) and the orderer at `store_shards = 2` vs 0 (one graph either
+//! way; the knob lays out only the state store) — with a median-of-runs harness, then compares each median against
 //! `BENCH_BASELINE.json` at the repository root. A benchmark fails the gate when it lands
 //! outside the tolerance band (±20% by default; `FABRICSHARP_GATE_TOLERANCE=0.35` widens it
 //! to ±35%). A baseline ↔ results mismatch is fatal in **both** directions: a measured
@@ -26,8 +26,8 @@
 //!   the fastpath-off reference, commit the identical id order, and bypass **exactly** the
 //!   number of transactions the conflict analyzer predicted (runtime `fastpath_accepted` ==
 //!   static safe-tag count, ±0), and
-//! * the unsharded and sharded paths must commit the **identical** id order on the ww-heavy
-//!   and cross-shard inputs (the determinism hard check),
+//! * the `S = 0` and `S = 4` orderer configurations must commit the **identical** id order
+//!   on the ww-heavy and cross-shard inputs (the determinism hard check),
 //! * the commit scheduler's wave decomposition must be reproducible and have the statically
 //!   known shape (one maximal wave on the disjoint block, ~40-wide waves on the hot block),
 //!   the `E = 4` wave commit must leave the store byte-identical to the `E = 0` serial
@@ -675,9 +675,9 @@ fn main() {
         );
         failures += 1;
     }
-    // Structural determinism check, machine-independent and always enforced: the sharded
-    // path must produce the *identical* committed id order as the unsharded reference, on
-    // both the ww-restoration-heavy input and the cross-shard YCSB input (coordinator path).
+    // Structural determinism check, machine-independent and always enforced: the S = 4
+    // configuration must produce the *identical* committed id order as the S = 0 reference,
+    // on both the ww-restoration-heavy input and the cross-shard YCSB input.
     for (input_name, txns) in [
         ("ww_heavy_400", &ctx.ww_heavy),
         ("ycsb_cross200", &ctx.ycsb_cross200),

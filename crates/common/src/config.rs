@@ -63,12 +63,13 @@ pub struct CcConfig {
     /// filters; used by the ablation benchmarks and by tests that quantify false-positive
     /// aborts. Production configurations leave this off.
     pub track_exact_reachability: bool,
-    /// Number of key-space shards for the multi-version store, the CW/CR/PW/PR indices and the
-    /// dependency graph. `0` (the default) runs the unsharded reference engine; `S >= 1` runs
-    /// `S` per-shard stores/graphs behind the cross-shard coordinator. Any value produces
-    /// bit-for-bit the same ledgers (asserted by `tests/determinism_lattice.rs`). Shards run
-    /// inline, one after another, on the calling thread: the knob partitions the data into
-    /// smaller per-shard graphs and indices and adds no parallelism.
+    /// Number of key-space shards of the multi-version state store. `0` (the default) keeps
+    /// one unsharded store; `S >= 1` hash-partitions it into `S` shard stores
+    /// (`eov_vstore::StoreBackend::for_shards`). The knob fixes the checkpoint's shape and
+    /// lets the commit scheduler apply a wave per shard when `execution_threads >= 1`. It
+    /// does not touch the orderer: FabricSharp keeps one dependency graph and one index set at
+    /// every `S`. Any value produces bit-for-bit the same ledgers (asserted by
+    /// `tests/determinism_lattice.rs`).
     pub store_shards: usize,
     /// When `true`, transactions tagged [`crate::txn::TemplateClass::Safe`] by the workload's
     /// template static analysis bypass dependency-graph insertion, cycle probing and

@@ -34,6 +34,6 @@ pub use config::{BlockConfig, CcConfig, ExperimentGrid, WorkloadParams};
 pub use dep::DependencyKind;
 pub use error::{CommonError, Result};
 pub use rwset::{ReadItem, ReadSet, WriteItem, WriteSet};
-pub use shard::{Partitioning, ShardRouter};
+pub use shard::ShardRouter;
 pub use txn::{CommitDecision, Transaction, TxnId, TxnStatus};
 pub use version::{concurrent, EndTs, SeqNo, StartTs};

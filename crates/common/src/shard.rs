@@ -1,32 +1,20 @@
 //! Key-space sharding: the partitioner that assigns every state key to a shard.
 //!
-//! The paper keeps one global multi-version store and one global dependency graph, which caps
-//! throughput at a single commit/formation path. The sharding layer partitions the key space
-//! across `S` independent store and graph shards; this module provides the one component every
-//! layer must agree on — the key → shard assignment. Determinism is a replication requirement
-//! (Section 3.5 extended to shards): every orderer replica must route a key to the same shard,
-//! so the hash partitioner uses a fixed FNV-1a, never `std`'s randomized `DefaultHasher`.
+//! The paper keeps one multi-version store. `CcConfig::store_shards` can split that store
+//! into `S` independent partitions (`eov_vstore::ShardedStore`); the orderer's dependency
+//! graph and its CW/CR/PW/PR indices stay single at every `S`. This module provides the one
+//! component every store layer must agree on — the key → shard assignment. Determinism is a
+//! replication requirement (Section 3.5): every replica must route a key to the same shard, so
+//! the router hashes with a fixed FNV-1a, never `std`'s randomized `DefaultHasher`.
 
 use crate::rwset::Key;
 use serde::{Deserialize, Serialize};
 
-/// How keys are mapped onto shards.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Partitioning {
-    /// FNV-1a hash of the key bytes, modulo the shard count. Spreads any key population
-    /// uniformly; the default.
-    Hash,
-    /// Lexicographic range partitioning: shard `i` owns the keys whose first byte falls into
-    /// the `i`-th of `S` equal byte ranges. Useful when key prefixes encode locality (e.g. an
-    /// account-id prefix) and a bench wants contiguous shards.
-    Range,
-}
-
-/// Assigns every key to one of `S` shards, deterministically across replicas.
+/// Assigns every key to one of `S` shards by FNV-1a hash of the key bytes modulo `S`,
+/// deterministically across replicas.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardRouter {
     shards: usize,
-    partitioning: Partitioning,
 }
 
 /// FNV-1a offset basis (64-bit).
@@ -49,21 +37,7 @@ impl ShardRouter {
     pub fn hash(shards: usize) -> Self {
         ShardRouter {
             shards: shards.max(1),
-            partitioning: Partitioning::Hash,
         }
-    }
-
-    /// A range router over `shards` shards (clamped to at least 1).
-    pub fn range(shards: usize) -> Self {
-        ShardRouter {
-            shards: shards.max(1),
-            partitioning: Partitioning::Range,
-        }
-    }
-
-    /// The trivial single-shard router (everything maps to shard 0).
-    pub fn unsharded() -> Self {
-        Self::hash(1)
     }
 
     /// Number of shards.
@@ -71,23 +45,12 @@ impl ShardRouter {
         self.shards
     }
 
-    /// The partitioning scheme in use.
-    pub fn partitioning(&self) -> Partitioning {
-        self.partitioning
-    }
-
     /// The shard that owns `key`. Always in `0..shard_count()`.
     pub fn shard_of(&self, key: &Key) -> usize {
         if self.shards == 1 {
             return 0;
         }
-        match self.partitioning {
-            Partitioning::Hash => (fnv1a(key.as_str().as_bytes()) % self.shards as u64) as usize,
-            Partitioning::Range => {
-                let first = key.as_str().as_bytes().first().copied().unwrap_or(0) as usize;
-                (first * self.shards / 256).min(self.shards - 1)
-            }
-        }
+        (fnv1a(key.as_str().as_bytes()) % self.shards as u64) as usize
     }
 }
 
@@ -120,18 +83,8 @@ mod tests {
     }
 
     #[test]
-    fn range_routing_is_monotone_in_the_first_byte() {
-        let router = ShardRouter::range(2);
-        assert_eq!(router.partitioning(), Partitioning::Range);
-        // ASCII letters < 0x80 land in shard 0; bytes >= 0x80 in shard 1.
-        assert_eq!(router.shard_of(&Key::new("alice")), 0);
-        let hi = Key::new("é"); // first UTF-8 byte 0xC3 >= 0x80
-        assert_eq!(router.shard_of(&hi), 1);
-    }
-
-    #[test]
     fn single_shard_router_maps_everything_to_zero() {
-        let router = ShardRouter::unsharded();
+        let router = ShardRouter::hash(1);
         assert_eq!(router.shard_count(), 1);
         assert_eq!(router.shard_of(&Key::new("anything")), 0);
         assert_eq!(ShardRouter::hash(0).shard_count(), 1, "clamped to 1");

@@ -11,7 +11,7 @@
 //!    ever occupies a block slot;
 //! 4. otherwise inserts it into the graph (Algorithm 4) and into the pending indices.
 
-use crate::dependency::resolve_sharded;
+use crate::dependency::resolve_dependencies;
 use crate::orderer_cc::FabricSharpCC;
 use eov_common::abort::AbortReason;
 use eov_common::txn::{CommitDecision, Transaction};
@@ -61,11 +61,9 @@ impl FabricSharpCC {
             return CommitDecision::Accept;
         }
 
-        // Step 2: dependency resolution (all kinds except pending-pending c-ww), split by key
-        // shard when the sharded engine runs. The flat lists are identical either way.
+        // Step 2: dependency resolution (all kinds except pending-pending c-ww).
         let t_resolve = Instant::now();
-        let resolved = resolve_sharded(&txn, &self.indices);
-        let deps = &resolved.global;
+        let deps = resolve_dependencies(&txn, &self.indices);
 
         // Step 3: cycle test on the reachability filters.
         let check = self
@@ -93,13 +91,9 @@ impl FabricSharpCC {
             read_keys: txn.read_set.keys().cloned().collect(),
             write_keys: txn.write_set.keys().cloned().collect(),
         };
-        let report = self.graph.insert_pending(
-            spec,
-            &deps.predecessors,
-            &deps.successors,
-            &resolved.per_shard,
-            self.next_block,
-        );
+        let report =
+            self.graph
+                .insert_pending(spec, &deps.predecessors, &deps.successors, self.next_block);
         self.stats.arrival_update_graph += t_graph.elapsed();
         self.stats.total_hops += report.hops as u64;
         self.stats.max_hops = self.stats.max_hops.max(report.hops as u64);
@@ -109,10 +103,10 @@ impl FabricSharpCC {
         // restoration at block formation.
         let t_index = Instant::now();
         for key in txn.write_set.keys() {
-            self.indices.record_pw(key.clone(), txn.id);
+            self.indices.pw.record(key.clone(), txn.id);
         }
         for key in txn.read_set.keys() {
-            self.indices.record_pr(key.clone(), txn.id);
+            self.indices.pr.record(key.clone(), txn.id);
         }
         let seq = self.arrival_seq;
         self.arrival_seq += 1;

@@ -70,13 +70,13 @@ impl FabricSharpCC {
                 // Committed-read index: record this transaction as a reader of each key it
                 // read.
                 for read in txn.read_set.iter() {
-                    self.indices.record_cr(read.key.clone(), slot, txn.id);
+                    self.indices.cr.record(read.key.clone(), slot, txn.id);
                 }
                 // Committed-write index: record the writes and drop readers of the
                 // overwritten values (they no longer read the latest version).
                 for write in txn.write_set.iter() {
-                    self.indices.record_cw(write.key.clone(), slot, txn.id);
-                    self.indices.drop_stale_readers(&write.key, slot);
+                    self.indices.cw.record(write.key.clone(), slot, txn.id);
+                    self.indices.cr.drop_stale_readers(&write.key, slot);
                 }
                 self.graph.mark_committed(txn.id, slot);
             }
@@ -149,14 +149,12 @@ impl FabricSharpCC {
 
         // Deterministic iteration: sort the written keys (PendingIndex iteration order is not
         // deterministic across replicas, but the set of keys is identical, so sorting fixes the
-        // replication requirement of Section 3.5). Each key routes to exactly one shard, so the
-        // (shard, key) pairs are unique and the key order is total.
-        let mut keyed: Vec<(usize, &eov_common::rwset::Key, &[TxnId])> =
-            indices.iter_pw().collect();
-        keyed.sort_by(|a, b| a.1.cmp(b.1));
+        // replication requirement of Section 3.5).
+        let mut keyed: Vec<(&eov_common::rwset::Key, &[TxnId])> = indices.pw.iter().collect();
+        keyed.sort_by(|a, b| a.0.cmp(b.0));
 
         let mut head_txns: Vec<TxnId> = Vec::new();
-        for (shard, _key, txns) in keyed {
+        for (_key, txns) in keyed {
             // Only pending writers that made it into the order matter, walked in that order.
             let mut writers: Vec<TxnId> = txns
                 .iter()
@@ -177,7 +175,7 @@ impl FabricSharpCC {
                 if graph.already_connected(first, second) {
                     continue;
                 }
-                graph.add_ww_edge(shard, first, second);
+                graph.add_ww_edge(first, second);
                 if !head_txns.contains(&second) {
                     head_txns.push(second);
                 }

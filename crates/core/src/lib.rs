@@ -43,7 +43,7 @@ pub use commit::{
     apply_without_validation, commit_block, count_anti_rw_commits, mvcc_validate_and_apply,
     CommitOutcome,
 };
-pub use dependency::{resolve_dependencies, resolve_sharded, ResolvedDeps, ShardedResolution};
+pub use dependency::{resolve_dependencies, ResolvedDeps};
 pub use endorser::{SimulationContext, SnapshotEndorser, TxnEffects};
 pub use orderer_cc::FabricSharpCC;
 pub use recovery::{

@@ -16,25 +16,21 @@
 
 use crate::stats::CcStats;
 use eov_common::config::CcConfig;
-use eov_common::shard::ShardRouter;
 use eov_common::txn::{Transaction, TxnId};
 use eov_depgraph::GraphEngine;
-use eov_vstore::ShardedIndices;
+use eov_vstore::DependencyIndices;
 use std::collections::HashMap;
 
 /// The FabricSharp orderer-side concurrency control.
 ///
-/// Since the key-space sharding refactor the graph and the CW/CR/PW/PR indices live behind
-/// the [`GraphEngine`] / [`ShardedIndices`] dispatch: `CcConfig::store_shards == 0` selects
-/// the unsharded reference engine, `S >= 1` selects `S` per-shard graphs and index partitions
-/// behind the cross-shard coordinator. Every algorithm below is written once against that
-/// surface, and both configurations produce bit-identical decisions (asserted end to end by
-/// `tests/determinism_lattice.rs`).
+/// One dependency graph ([`GraphEngine`]) and one CW/CR/PW/PR index set
+/// ([`DependencyIndices`]), as in the paper, at every `CcConfig::store_shards`: that knob
+/// lays out only the state store the peers commit into, never the orderer's own state.
 #[derive(Debug)]
 pub struct FabricSharpCC {
     pub(crate) config: CcConfig,
     pub(crate) graph: GraphEngine,
-    pub(crate) indices: ShardedIndices,
+    pub(crate) indices: DependencyIndices,
     /// Accepted transactions waiting for the next block, keyed by id.
     pub(crate) pending_txns: HashMap<u64, Transaction>,
     /// Number of the block currently being assembled (the first block is 1).
@@ -55,14 +51,9 @@ pub struct FabricSharpCC {
 impl FabricSharpCC {
     /// Creates a controller with the given configuration, starting at block 1.
     pub fn new(config: CcConfig) -> Self {
-        let router = if config.store_shards == 0 {
-            ShardRouter::unsharded()
-        } else {
-            ShardRouter::hash(config.store_shards)
-        };
         FabricSharpCC {
             graph: GraphEngine::new(config),
-            indices: ShardedIndices::new(router),
+            indices: DependencyIndices::new(),
             config,
             pending_txns: HashMap::new(),
             next_block: 1,
@@ -103,8 +94,8 @@ impl FabricSharpCC {
         &self.graph
     }
 
-    /// Read access to the sharded CW/CR/PW/PR indices (tests and diagnostics).
-    pub fn indices(&self) -> &ShardedIndices {
+    /// Read access to the CW/CR/PW/PR indices (tests and diagnostics).
+    pub fn indices(&self) -> &DependencyIndices {
         &self.indices
     }
 
@@ -136,27 +127,22 @@ impl FabricSharpCC {
             self.next_block = self.next_block.max(slot.block + 1);
             return;
         }
-        let resolved = crate::dependency::resolve_sharded(txn, &self.indices);
+        let deps = crate::dependency::resolve_dependencies(txn, &self.indices);
         let spec = eov_depgraph::PendingTxnSpec {
             id: txn.id,
             start_ts: txn.start_ts(),
             read_keys: txn.read_set.keys().cloned().collect(),
             write_keys: txn.write_set.keys().cloned().collect(),
         };
-        self.graph.insert_pending(
-            spec,
-            &resolved.global.predecessors,
-            &resolved.global.successors,
-            &resolved.per_shard,
-            slot.block,
-        );
+        self.graph
+            .insert_pending(spec, &deps.predecessors, &deps.successors, slot.block);
         self.graph.mark_committed(txn.id, slot);
         for read in txn.read_set.iter() {
-            self.indices.record_cr(read.key.clone(), slot, txn.id);
+            self.indices.cr.record(read.key.clone(), slot, txn.id);
         }
         for write in txn.write_set.iter() {
-            self.indices.record_cw(write.key.clone(), slot, txn.id);
-            self.indices.drop_stale_readers(&write.key, slot);
+            self.indices.cw.record(write.key.clone(), slot, txn.id);
+            self.indices.cr.drop_stale_readers(&write.key, slot);
         }
         self.next_block = self.next_block.max(slot.block + 1);
     }

@@ -559,95 +559,6 @@ impl DependencyGraph {
         InsertReport { hops }
     }
 
-    /// Adds a dependency edge `from → to` between two existing nodes *without* touching any
-    /// reachability set. Self edges, unknown endpoints and duplicate edges are ignored. Used by
-    /// the cross-shard coordinator, which wires a border transaction's per-shard edges first
-    /// and then runs one global reachability walk over all of them.
-    pub fn add_edge(&mut self, from: TxnId, to: TxnId) {
-        if from == to {
-            return;
-        }
-        let (Some(from_slot), Some(to_slot)) = (self.interner.get(from), self.interner.get(to))
-        else {
-            return;
-        };
-        let from_node = self.nodes[from_slot as usize]
-            .as_mut()
-            .expect("interned slots are live");
-        if !from_node.succ.contains(&to_slot) {
-            from_node.succ.push(to_slot);
-            self.nodes[to_slot as usize]
-                .as_mut()
-                .expect("interned slots are live")
-                .pred
-                .push(from_slot);
-        }
-    }
-
-    /// Unions `delta` into `id`'s reachability set, optionally inserting `source` as well, and
-    /// raises the node's age to at least `min_age`. This is exactly the per-node update of
-    /// Algorithm 4's downstream walk, exposed so the cross-shard coordinator can drive one
-    /// *global* walk across several shard graphs while each shard applies the update to its
-    /// own copy of the node. A no-op for untracked ids.
-    pub fn absorb_reach(
-        &mut self,
-        id: TxnId,
-        delta: &ReachSet,
-        source: Option<TxnId>,
-        min_age: u64,
-    ) {
-        let Some(slot) = self.interner.get(id) else {
-            return;
-        };
-        let node = self.nodes[slot as usize]
-            .as_mut()
-            .expect("interned slots are live");
-        node.anti_reachable.union_with(delta);
-        if let Some(source) = source {
-            node.anti_reachable.insert(source);
-        }
-        node.age = node.age.max(min_age);
-    }
-
-    /// Replaces `id`'s reachability set wholesale. Used by the cross-shard coordinator to keep
-    /// every shard's copy of a border transaction carrying the *merged* (global) set — the
-    /// invariant that makes per-shard cycle probes give globally correct answers.
-    pub fn replace_reach(&mut self, id: TxnId, set: ReachSet) {
-        if let Some(slot) = self.interner.get(id) {
-            self.nodes[slot as usize]
-                .as_mut()
-                .expect("interned slots are live")
-                .anti_reachable = set;
-        }
-    }
-
-    /// Moves `id`'s reachability set out of the node, leaving a placeholder. The cross-shard
-    /// coordinator borrows a node's set as the downstream-walk delta this way instead of
-    /// cloning it (the clone was the dominant coordinator cost at production bloom sizes);
-    /// callers must hand the set back via [`DependencyGraph::replace_reach`] before anyone
-    /// can observe the placeholder.
-    pub fn take_reach(&mut self, id: TxnId) -> Option<ReachSet> {
-        let slot = self.interner.get(id)?;
-        let node = self.nodes[slot as usize]
-            .as_mut()
-            .expect("interned slots are live");
-        Some(std::mem::replace(
-            &mut node.anti_reachable,
-            ReachSet::placeholder(),
-        ))
-    }
-
-    /// Calls `f` with each immediate successor id of `id` — the allocation-free counterpart of
-    /// [`DependencyGraph::successors`], used by the cross-shard coordinator's epoch-scratch
-    /// walks. A no-op for untracked ids.
-    pub(crate) fn for_each_successor(&self, id: TxnId, mut f: impl FnMut(TxnId)) {
-        if let Some(node) = self.node(id) {
-            for &s in &node.succ {
-                f(self.interner.id_at(s));
-            }
-        }
-    }
-
     /// Adds a dependency edge `from → to` between two existing nodes and unions `from`'s
     /// reachability (plus `from` itself) into `to`. Used by the ww-restoration step
     /// (Algorithm 5), which then propagates further downstream itself in topological order.

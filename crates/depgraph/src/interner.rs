@@ -84,13 +84,6 @@ impl Interner {
     pub fn id_at(&self, slot: u32) -> TxnId {
         TxnId(self.ids[slot as usize])
     }
-
-    /// Iterates every live interned id, in arbitrary order (order-insensitive consumers only,
-    /// e.g. whole-graph test oracles).
-    pub fn live_ids(&self) -> impl Iterator<Item = TxnId> + '_ {
-        // lint-determinism: allow (documented arbitrary order; consumers must not sequence on it)
-        self.map.keys().map(|&id| TxnId(id))
-    }
 }
 
 #[cfg(test)]

@@ -18,14 +18,12 @@
 //! * [`prune`] — `max_span` snapshot thresholds and age-based pruning (Section 4.6).
 //! * [`reference`] — the retained naive-DFS implementation, kept as the equivalence oracle
 //!   and bench baseline for the dense engine. Not for production use.
-//! * [`sharded`] — key-space sharding: per-shard graphs whose local edges never leave their
-//!   shard, plus the cross-shard coordinator that tracks border transactions and keeps every
-//!   node copy carrying the *global* reach set (so cycle checks and the topo merge stay
-//!   bit-identical to the unsharded engine).
 //! * [`parallel`] — the reusable ownership-passing worker pool the parallel commit
 //!   scheduler fans its execution waves out on.
-//! * [`engine`] — [`engine::GraphEngine`], the orderer-facing dispatch between the global and
-//!   sharded variants, selected by `CcConfig::store_shards`.
+//! * [`engine`] — [`engine::GraphEngine`], the orderer-facing surface: the one dependency graph
+//!   plus the log of transactions committed without graph insertion (template fast path).
+//!   The orderer keeps this single graph at every `CcConfig::store_shards`; that knob lays
+//!   out only the state store.
 
 #![forbid(unsafe_code)]
 
@@ -38,7 +36,6 @@ pub mod parallel;
 pub mod prune;
 pub mod rebuild;
 pub mod reference;
-pub mod sharded;
 pub mod topo;
 pub mod visited;
 
@@ -49,5 +46,4 @@ pub use interner::Interner;
 pub use parallel::{PoolJob, WorkPool};
 pub use prune::snapshot_threshold;
 pub use reference::NaiveGraph;
-pub use sharded::{ShardDeps, ShardedDependencyGraph};
 pub use visited::EpochVisited;

@@ -1,8 +1,8 @@
 //! Multi-version-store checkpoints: the base state cold recovery replays from.
 //!
 //! A checkpoint file `ckpt-<height:020>.bin` captures a [`StoreBackend`] exactly as it stood
-//! after applying blocks `1..=height`: backend shape (unsharded, or `S` shards with their
-//! router), heights, pruning horizons, and every per-key version chain in `BTreeMap` key
+//! after applying blocks `1..=height`: backend shape (unsharded, or `S` hash-routed shards),
+//! heights, pruning horizons, and every per-key version chain in `BTreeMap` key
 //! order — a deterministic byte image, CRC-framed like a segment record. Writes go through a
 //! temp file plus rename, so a crash mid-checkpoint leaves either the old file set or the new
 //! one, never a half-written checkpoint under the final name.
@@ -14,13 +14,21 @@
 
 use crate::codec::{crc32, ByteReader, ByteWriter};
 use crate::error::LedgerError;
-use eov_common::shard::{Partitioning, ShardRouter};
+use eov_common::shard::ShardRouter;
 use eov_vstore::{MultiVersionStore, ShardedStore, StateRead, StoreBackend};
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every checkpoint file (format version 1).
 const CHECKPOINT_MAGIC: &[u8; 8] = b"EOVCKP01";
+
+/// Partitioning tag of a sharded checkpoint: FNV-1a hash routing, the only partitioning.
+/// Any other tag is rejected as unknown.
+const HASH_PARTITIONING: u8 = 0;
+
+/// Smallest encoding of one shard: `last_block`, `pruned_below` and the key count, 8 bytes
+/// each.
+const MIN_SHARD_BYTES: usize = 24;
 
 /// File name of the checkpoint at `height`.
 pub fn checkpoint_file_name(height: u64) -> String {
@@ -70,10 +78,7 @@ fn encode_store(height: u64, store: &StoreBackend) -> Vec<u8> {
         StoreBackend::Sharded(s) => {
             w.put_u8(1);
             w.put_u32(s.shard_count() as u32);
-            w.put_u8(match s.router().partitioning() {
-                Partitioning::Hash => 0,
-                Partitioning::Range => 1,
-            });
+            w.put_u8(HASH_PARTITIONING);
             w.put_u64(StateRead::last_block(s));
             for i in 0..s.shard_count() {
                 put_shard(&mut w, s.shard(i));
@@ -93,13 +98,20 @@ fn decode_store(payload: &[u8]) -> Result<(u64, StoreBackend), String> {
             if shard_count == 0 {
                 return Err("sharded checkpoint with zero shards".into());
             }
-            let router = match r.get_u8("partitioning")? {
-                0 => ShardRouter::hash(shard_count as usize),
-                1 => ShardRouter::range(shard_count as usize),
+            match r.get_u8("partitioning")? {
+                HASH_PARTITIONING => {}
                 other => return Err(format!("unknown partitioning tag {other}")),
-            };
+            }
             let global_last_block = r.get_u64("global last_block")?;
-            let mut sharded = ShardedStore::new(router);
+            // Every shard encodes at least its three u64 header fields, so a count the rest of
+            // the payload cannot hold is rejected before any shard store is allocated.
+            if shard_count as usize > r.remaining() / MIN_SHARD_BYTES {
+                return Err(format!(
+                    "shard count {shard_count} exceeds what the remaining {} bytes can hold",
+                    r.remaining()
+                ));
+            }
+            let mut sharded = ShardedStore::new(ShardRouter::hash(shard_count as usize));
             for i in 0..shard_count as usize {
                 *sharded.shard_mut(i) = get_shard(&mut r)?;
             }
@@ -114,6 +126,16 @@ fn decode_store(payload: &[u8]) -> Result<(u64, StoreBackend), String> {
     Ok((height, backend))
 }
 
+/// Frames a checkpoint payload: magic, payload length, payload CRC, payload.
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(16 + payload.len());
+    bytes.extend_from_slice(CHECKPOINT_MAGIC);
+    bytes.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    bytes.extend_from_slice(&crc32(payload).to_be_bytes());
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
 /// Writes a checkpoint of `store` at its current height into `dir` (atomically: temp file +
 /// rename). Returns the height and the final path.
 pub fn write_checkpoint(
@@ -123,12 +145,7 @@ pub fn write_checkpoint(
 ) -> Result<(u64, PathBuf), LedgerError> {
     let dir = dir.as_ref();
     let height = store.last_block();
-    let payload = encode_store(height, store);
-    let mut bytes = Vec::with_capacity(16 + payload.len());
-    bytes.extend_from_slice(CHECKPOINT_MAGIC);
-    bytes.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    bytes.extend_from_slice(&crc32(&payload).to_be_bytes());
-    bytes.extend_from_slice(&payload);
+    let bytes = frame(&encode_store(height, store));
 
     let path = dir.join(checkpoint_file_name(height));
     let tmp = dir.join(format!("{}.tmp", checkpoint_file_name(height)));
@@ -301,6 +318,47 @@ mod tests {
         let (height, store) = latest_checkpoint_at_most(&dir, 10, 0).unwrap().unwrap();
         assert_eq!(height, 3);
         assert_eq!(store, populated(0, 3));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// CRC-valid checkpoints with a hostile shard header are typed errors, not huge
+    /// allocations or panics, and recovery falls back past them to an older checkpoint.
+    #[test]
+    fn hostile_shard_headers_are_rejected_and_skipped() {
+        let dir = temp_dir("hostile");
+        write_checkpoint(&dir, &populated(2, 3), false).unwrap();
+
+        // A shard count of u32::MAX with no shard bytes behind it.
+        let mut w = ByteWriter::new();
+        w.put_u64(6); // height
+        w.put_u8(1); // sharded backend
+        w.put_u32(u32::MAX);
+        w.put_u8(HASH_PARTITIONING);
+        w.put_u64(6); // global last_block
+        let huge = dir.join(checkpoint_file_name(6));
+        fs::write(&huge, frame(&w.into_bytes())).unwrap();
+        match load_checkpoint(&huge) {
+            Err(LedgerError::CorruptCheckpoint { detail, .. }) => {
+                assert!(detail.contains("shard count"), "{detail}")
+            }
+            other => panic!("expected a corrupt-checkpoint error, got {other:?}"),
+        }
+
+        // A partitioning tag other than hash (payload offset: height 8 + backend 1 + count 4).
+        let mut payload = encode_store(9, &populated(2, 9));
+        payload[13] = 1;
+        let ranged = dir.join(checkpoint_file_name(9));
+        fs::write(&ranged, frame(&payload)).unwrap();
+        match load_checkpoint(&ranged) {
+            Err(LedgerError::CorruptCheckpoint { detail, .. }) => {
+                assert!(detail.contains("unknown partitioning tag 1"), "{detail}")
+            }
+            other => panic!("expected a corrupt-checkpoint error, got {other:?}"),
+        }
+
+        let (height, store) = latest_checkpoint_at_most(&dir, 10, 2).unwrap().unwrap();
+        assert_eq!(height, 3);
+        assert_eq!(store, populated(2, 3));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

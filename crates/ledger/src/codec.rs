@@ -113,6 +113,11 @@ impl<'a> ByteReader<'a> {
         self.pos == self.buf.len()
     }
 
+    /// Number of bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], String> {
         let end = self
             .pos

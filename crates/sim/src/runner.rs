@@ -129,8 +129,7 @@ impl Simulator {
 
         // Substrate: state store (unsharded or key-space partitioned per `cc.store_shards`,
         // behind the shared handle the commit scheduler's workers read through), ledger,
-        // snapshot manager, endorser, concurrency control. The same config flows into the CC
-        // so FabricSharp's graph and indices shard alongside the store.
+        // snapshot manager, endorser, concurrency control.
         let cc_config = config.cc;
         let store: SharedStore = {
             let mut s = StoreBackend::for_shards(cc_config.store_shards);

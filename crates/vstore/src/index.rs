@@ -14,7 +14,11 @@
 //! The paper stores both in LevelDB, placing the record key before the commit sequence so that
 //! point and range queries are efficient. A `BTreeMap<(Key, SeqNo), TxnId>` provides the same
 //! ordered-prefix query surface; this is the documented LevelDB substitution.
+//!
+//! [`DependencyIndices`] bundles CW and CR with the pending indices PW/PR
+//! ([`crate::pending`]): the one index set the orderer resolves every arrival against.
 
+use crate::pending::PendingIndex;
 use eov_common::rwset::Key;
 use eov_common::txn::TxnId;
 use eov_common::version::SeqNo;
@@ -175,6 +179,45 @@ impl CommittedReadIndex {
     }
 }
 
+/// The four dependency-resolution indices of Section 4.3 — CW, CR, PW and PR — that the
+/// orderer resolves every arrival against and updates at every block cut.
+#[derive(Clone, Debug, Default)]
+pub struct DependencyIndices {
+    /// Committed writes.
+    pub cw: CommittedWriteIndex,
+    /// Committed reads of the latest value.
+    pub cr: CommittedReadIndex,
+    /// Pending writes.
+    pub pw: PendingIndex,
+    /// Pending reads.
+    pub pr: PendingIndex,
+}
+
+impl DependencyIndices {
+    /// Creates empty indices.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Clears the pending indices (block formation empties the pending set).
+    pub fn clear_pending(&mut self) {
+        self.pw.clear();
+        self.pr.clear();
+    }
+
+    /// Removes a single transaction from both pending indices.
+    pub fn remove_pending_txn(&mut self, txn: TxnId) {
+        self.pw.remove_txn(txn);
+        self.pr.remove_txn(txn);
+    }
+
+    /// Prunes the committed indices below `horizon` (Section 4.6).
+    pub fn prune_committed_below(&mut self, horizon: u64) {
+        self.cw.prune_below(horizon);
+        self.cr.prune_below(horizon);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,6 +297,31 @@ mod tests {
         assert_eq!(cr.prune_below(5), 1);
         assert_eq!(cr.len(), 1);
         assert!(!cr.is_empty());
+    }
+
+    #[test]
+    fn dependency_indices_clear_pending_and_prune_committed() {
+        let mut indices = DependencyIndices::new();
+        indices.cw.record(k("A"), SeqNo::new(1, 1), TxnId(1));
+        indices.cr.record(k("A"), SeqNo::new(1, 2), TxnId(2));
+        indices.cw.record(k("B"), SeqNo::new(6, 1), TxnId(3));
+        indices.pw.record(k("A"), TxnId(100));
+        indices.pr.record(k("B"), TxnId(101));
+        indices.pr.record(k("C"), TxnId(100));
+
+        // Withdrawing a pending transaction clears it from PW and PR alike.
+        indices.remove_pending_txn(TxnId(100));
+        assert!(indices.pw.get(&k("A")).is_empty());
+        assert!(indices.pr.get(&k("C")).is_empty());
+        assert_eq!(indices.pr.get(&k("B")), &[TxnId(101)]);
+        indices.clear_pending();
+        assert!(indices.pr.get(&k("B")).is_empty());
+
+        // Pruning drops committed entries below the horizon only.
+        indices.prune_committed_below(5);
+        assert_eq!(indices.cw.last(&k("A")), None);
+        assert!(indices.cr.is_empty());
+        assert_eq!(indices.cw.last(&k("B")), Some(TxnId(3)));
     }
 }
 

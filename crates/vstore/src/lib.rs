@@ -11,6 +11,7 @@
 //! * [`index`] — the orderer-side committed-transaction indices `CommittedWriteTxns` (CW) and
 //!   `CommittedReadTxns` (CR) of Section 4.3. The paper stores these in LevelDB; here they are
 //!   ordered in-memory maps exposing the same query surface (`Before`, `Last`, range-from).
+//!   [`index::DependencyIndices`] bundles them with PW/PR into the orderer's one index set.
 //! * [`pending`] — the in-memory `PendingWriteTxns` (PW) / `PendingReadTxns` (PR) indices over
 //!   the not-yet-ordered transactions.
 //! * [`shared`] — the [`shared::SharedStore`] handle through which the parallel commit
@@ -20,8 +21,7 @@
 //!   implements, so the endorsement and commit paths are backend-agnostic.
 //! * [`sharded`] — the key-space sharding layer: [`sharded::ShardedStore`] partitions the
 //!   multi-version store across `S` shards behind a deterministic
-//!   [`eov_common::shard::ShardRouter`], and [`sharded::ShardedIndices`] partitions the
-//!   CW/CR/PW/PR dependency-resolution indices the same way.
+//!   [`eov_common::shard::ShardRouter`].
 //! * [`timetravel`] — the reenactment query surface over the retained history:
 //!   [`timetravel::TimeTravel`] answers "value of `key` as of block `h`", block-range
 //!   histories, and the commit slot behind any visible value, identically on every backend.
@@ -37,10 +37,10 @@ pub mod snapshot;
 pub mod state;
 pub mod timetravel;
 
-pub use index::{CommittedReadIndex, CommittedWriteIndex};
+pub use index::{CommittedReadIndex, CommittedWriteIndex, DependencyIndices};
 pub use mvstore::{MultiVersionStore, VersionedValue};
 pub use pending::PendingIndex;
-pub use sharded::{ShardedIndices, ShardedStore};
+pub use sharded::ShardedStore;
 pub use shared::{into_shared_backend, SharedStore, StoreBackend};
 pub use snapshot::{SnapshotManager, SnapshotView};
 pub use state::{StateRead, StateStore};

@@ -1,18 +1,14 @@
 //! Key-space sharded state: `S` independent [`MultiVersionStore`] partitions behind one
-//! [`ShardRouter`], plus the sharded CW/CR/PW/PR dependency-resolution indices.
+//! [`ShardRouter`].
 //!
 //! Every operation of the unsharded store surface is implemented by fan-out: point operations
 //! (put, latest, snapshot read) route to the owning shard, whole-store operations (pruning,
 //! height advancement, counts) visit every shard. Because the store is a pure data partition —
 //! no key ever lives in two shards — every read returns bit-for-bit what the unsharded store
 //! would return, which is the foundation of the ledger-identity guarantee the determinism
-//! lattice (`tests/determinism_lattice.rs`) checks. The same argument covers the indices:
-//! CW/CR/PW/PR are per-key maps, so routing each key to its shard's index partitions the map
-//! without changing any per-key answer.
+//! lattice (`tests/determinism_lattice.rs`) checks.
 
-use crate::index::{CommittedReadIndex, CommittedWriteIndex};
 use crate::mvstore::{MultiVersionStore, VersionedValue};
-use crate::pending::PendingIndex;
 use crate::state::{StateRead, StateStore};
 use eov_common::error::Result;
 use eov_common::rwset::{Key, Value};
@@ -149,141 +145,10 @@ impl StateStore for ShardedStore {
     }
 }
 
-/// The four dependency-resolution indices of Section 4.3 (CW, CR, PW, PR), partitioned by key
-/// shard. With a single shard this is exactly the unsharded layout — the orderer always goes
-/// through this type and the `store_shards` knob only changes how many partitions back it.
-#[derive(Clone, Debug)]
-pub struct ShardedIndices {
-    router: ShardRouter,
-    cw: Vec<CommittedWriteIndex>,
-    cr: Vec<CommittedReadIndex>,
-    pw: Vec<PendingIndex>,
-    pr: Vec<PendingIndex>,
-}
-
-impl ShardedIndices {
-    /// Creates empty indices partitioned by `router`.
-    pub fn new(router: ShardRouter) -> Self {
-        let shards = router.shard_count();
-        ShardedIndices {
-            router,
-            cw: (0..shards).map(|_| CommittedWriteIndex::new()).collect(),
-            cr: (0..shards).map(|_| CommittedReadIndex::new()).collect(),
-            pw: (0..shards).map(|_| PendingIndex::new()).collect(),
-            pr: (0..shards).map(|_| PendingIndex::new()).collect(),
-        }
-    }
-
-    /// The router assigning keys to index shards.
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
-    }
-
-    /// Number of index shards.
-    pub fn shard_count(&self) -> usize {
-        self.cw.len()
-    }
-
-    /// The committed-write index owning `key`.
-    pub fn cw(&self, key: &Key) -> &CommittedWriteIndex {
-        &self.cw[self.router.shard_of(key)]
-    }
-
-    /// The committed-read index owning `key`.
-    pub fn cr(&self, key: &Key) -> &CommittedReadIndex {
-        &self.cr[self.router.shard_of(key)]
-    }
-
-    /// The pending-write index owning `key`.
-    pub fn pw(&self, key: &Key) -> &PendingIndex {
-        &self.pw[self.router.shard_of(key)]
-    }
-
-    /// The pending-read index owning `key`.
-    pub fn pr(&self, key: &Key) -> &PendingIndex {
-        &self.pr[self.router.shard_of(key)]
-    }
-
-    /// Records a committed write of `key` at `seq`.
-    pub fn record_cw(&mut self, key: Key, seq: SeqNo, txn: eov_common::txn::TxnId) {
-        let shard = self.router.shard_of(&key);
-        self.cw[shard].record(key, seq, txn);
-    }
-
-    /// Records a committed read of the latest value of `key` at `seq`.
-    pub fn record_cr(&mut self, key: Key, seq: SeqNo, txn: eov_common::txn::TxnId) {
-        let shard = self.router.shard_of(&key);
-        self.cr[shard].record(key, seq, txn);
-    }
-
-    /// Drops committed readers of `key` made stale by a write at `seq`.
-    pub fn drop_stale_readers(&mut self, key: &Key, seq: SeqNo) {
-        let shard = self.router.shard_of(key);
-        self.cr[shard].drop_stale_readers(key, seq);
-    }
-
-    /// Records a pending write of `key`.
-    pub fn record_pw(&mut self, key: Key, txn: eov_common::txn::TxnId) {
-        let shard = self.router.shard_of(&key);
-        self.pw[shard].record(key, txn);
-    }
-
-    /// Records a pending read of `key`.
-    pub fn record_pr(&mut self, key: Key, txn: eov_common::txn::TxnId) {
-        let shard = self.router.shard_of(&key);
-        self.pr[shard].record(key, txn);
-    }
-
-    /// Iterates over every `(shard, key, pending writers)` association of the PW indices (used
-    /// by ww restoration, which sorts by key itself for determinism).
-    pub fn iter_pw(&self) -> impl Iterator<Item = (usize, &Key, &[eov_common::txn::TxnId])> {
-        self.pw
-            .iter()
-            .enumerate()
-            .flat_map(|(shard, index)| index.iter().map(move |(key, txns)| (shard, key, txns)))
-    }
-
-    /// Clears the pending indices (block formation empties the pending set).
-    pub fn clear_pending(&mut self) {
-        for pw in &mut self.pw {
-            pw.clear();
-        }
-        for pr in &mut self.pr {
-            pr.clear();
-        }
-    }
-
-    /// Removes a single transaction from every pending index shard.
-    pub fn remove_pending_txn(&mut self, txn: eov_common::txn::TxnId) {
-        for pw in &mut self.pw {
-            pw.remove_txn(txn);
-        }
-        for pr in &mut self.pr {
-            pr.remove_txn(txn);
-        }
-    }
-
-    /// Prunes the committed indices below `horizon` (Section 4.6).
-    pub fn prune_committed_below(&mut self, horizon: u64) {
-        for cw in &mut self.cw {
-            cw.prune_below(horizon);
-        }
-        for cr in &mut self.cr {
-            cr.prune_below(horizon);
-        }
-    }
-
-    /// Total committed-index entries across shards (diagnostics).
-    pub fn committed_entry_count(&self) -> usize {
-        self.cw.iter().map(CommittedWriteIndex::len).sum::<usize>()
-            + self.cr.iter().map(CommittedReadIndex::len).sum::<usize>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eov_common::txn::{Transaction, TxnId};
+    use eov_common::txn::Transaction;
 
     fn k(s: &str) -> Key {
         Key::new(s)
@@ -370,47 +235,5 @@ mod tests {
                 .as_i64(),
             Some(4)
         );
-    }
-
-    /// Per-key index answers must be identical to an unsharded index fed the same records.
-    #[test]
-    fn sharded_indices_answer_like_unsharded_ones() {
-        let mut reference_cw = CommittedWriteIndex::new();
-        let mut sharded = ShardedIndices::new(ShardRouter::hash(3));
-        assert_eq!(sharded.shard_count(), 3);
-
-        for i in 0..30u64 {
-            let key = k(&format!("key:{}", i % 10));
-            let seq = SeqNo::new(i / 10 + 1, (i % 10) as u32 + 1);
-            reference_cw.record(key.clone(), seq, TxnId(i));
-            sharded.record_cw(key, seq, TxnId(i));
-        }
-        for i in 0..10 {
-            let key = k(&format!("key:{i}"));
-            assert_eq!(sharded.cw(&key).last(&key), reference_cw.last(&key));
-            let probe = SeqNo::new(2, 1);
-            assert_eq!(
-                sharded.cw(&key).before(&key, probe),
-                reference_cw.before(&key, probe)
-            );
-            assert_eq!(
-                sharded.cw(&key).from(&key, probe),
-                reference_cw.from(&key, probe)
-            );
-        }
-
-        sharded.record_pw(k("key:1"), TxnId(100));
-        sharded.record_pr(k("key:2"), TxnId(101));
-        assert_eq!(sharded.pw(&k("key:1")).get(&k("key:1")), &[TxnId(100)]);
-        assert_eq!(sharded.iter_pw().count(), 1);
-        sharded.remove_pending_txn(TxnId(100));
-        assert_eq!(sharded.iter_pw().count(), 0);
-        assert_eq!(sharded.pr(&k("key:2")).get(&k("key:2")), &[TxnId(101)]);
-        sharded.clear_pending();
-        assert!(sharded.pr(&k("key:2")).get(&k("key:2")).is_empty());
-
-        let before = sharded.committed_entry_count();
-        sharded.prune_committed_below(100);
-        assert!(sharded.committed_entry_count() < before);
     }
 }

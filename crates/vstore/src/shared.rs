@@ -169,7 +169,7 @@ const _: () = {
     assert_send_sync::<crate::index::CommittedWriteIndex>();
     assert_send_sync::<crate::index::CommittedReadIndex>();
     assert_send_sync::<crate::pending::PendingIndex>();
-    assert_send_sync::<crate::sharded::ShardedIndices>();
+    assert_send_sync::<crate::index::DependencyIndices>();
 };
 
 #[cfg(test)]

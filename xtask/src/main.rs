@@ -1,8 +1,8 @@
 //! Repo tooling. Subcommands:
 //!
 //! * `lint-determinism` — static lint over the ledger-order-affecting modules (see
-//!   [`SCAN_ROOTS`]: the dependency graph, the orderer's arrival/formation paths, the shard
-//!   coordinator, the wave-commit scheduler, the simulator's event loop, and — since the
+//!   [`SCAN_ROOTS`]: the dependency graph, the orderer's arrival/formation paths, the
+//!   wave-commit scheduler, the simulator's event loop, and — since the
 //!   ledger is persisted byte-for-byte — the durable ledger codec, checkpoint writer and the
 //!   versioned store they serialise). Fails on iteration over
 //!   `HashMap`/`HashSet` bindings (`.iter()`, `.keys()`, `.values()`, `.drain()`,

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! cargo run --release -p eov-bench --bin shard_sweep             # 7 repetitions per point
-//! cargo run --release -p eov-bench --bin shard_sweep -- --reps 3
 //! ```
 //!
 //! Runs the FabricSharp simulator at S = 0 (unsharded store), 1, 2 and 4 store shards over
@@ -22,7 +21,7 @@ use eov_workload::YcsbProfile;
 use std::time::Instant;
 
 const SHARDS: [usize; 4] = [0, 1, 2, 4];
-const DEFAULT_REPS: usize = 7;
+const REPS: usize = 7;
 
 /// One run's measurements.
 #[derive(Clone, Copy)]
@@ -46,20 +45,7 @@ fn median_of(samples: &[Sample], field: impl Fn(&Sample) -> f64) -> f64 {
     quantile(&samples.iter().map(field).collect::<Vec<_>>(), 0.5)
 }
 
-fn reps_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--reps") {
-        Some(i) => args
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .filter(|&n: &usize| n >= 1)
-            .expect("--reps takes a positive integer"),
-        None => DEFAULT_REPS,
-    }
-}
-
 fn main() {
-    let reps = reps_from_args();
     let workloads: Vec<(&str, WorkloadKind)> = vec![
         (
             "ycsb-a local (0% cross)",
@@ -77,7 +63,7 @@ fn main() {
     ];
 
     println!("FabricSharp, 700 tps offered, 5 simulated seconds, 2000 records, block size 100");
-    println!("{reps} interleaved repetitions per point; wall = whole run, median (IQR)");
+    println!("{REPS} interleaved repetitions per point; wall = whole run, median (IQR)");
     println!(
         "{:<24} {:>7} {:>10} {:>18} {:>12} {:>12} {:>12}",
         "workload", "shards", "committed", "wall ms", "arrival", "form p50", "form p99"
@@ -86,7 +72,7 @@ fn main() {
         let mut samples: Vec<Vec<Sample>> = vec![Vec::new(); SHARDS.len()];
         let mut committed = [0u64; SHARDS.len()];
         let mut reference_tip = None;
-        for _ in 0..reps {
+        for _ in 0..REPS {
             for (point, &shards) in SHARDS.iter().enumerate() {
                 let mut cfg = SimulationConfig::new(SystemKind::FabricSharp, workload.clone());
                 cfg.duration_s = 5.0;
